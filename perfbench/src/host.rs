@@ -32,12 +32,17 @@ fn cpu_model() -> String {
 }
 
 /// One JSON line naming the host and build a result was measured on,
-/// with the run's run-queue wait; printed before every result.
-pub fn fingerprint_json(runq_wait_s: f64) -> String {
+/// with the run's run-queue wait and any `extra` numbers the run measured
+/// about the host; printed before every result.
+pub fn fingerprint_json(runq_wait_s: f64, extra: &[(&str, f64)]) -> String {
     let cores = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
+    let extra: String = extra
+        .iter()
+        .map(|(name, value)| format!(", {}: {value:?}", json_string(name)))
+        .collect();
     format!(
         "{{\"host\": {{\"available_parallelism\": {cores}, \"rustc\": {}, \"profile\": {}, \
-         \"cpu_model\": {}, \"runq_wait_s\": {runq_wait_s}}}}}",
+         \"cpu_model\": {}, \"runq_wait_s\": {runq_wait_s}{extra}}}}}",
         json_string(env!("PERFBENCH_RUSTC")),
         json_string(env!("PERFBENCH_PROFILE")),
         json_string(&cpu_model()),

@@ -3,6 +3,7 @@
 //! per-layer metrics from a separate traced run that times each layer
 //! from outside (see README.md).
 
+pub mod calibrate;
 pub mod hold;
 pub mod host;
 pub mod measure;

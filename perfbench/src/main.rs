@@ -21,7 +21,6 @@ fn parse(args: &[String]) -> Result<Settings, String> {
     let mut seed = None;
     let mut seconds = None;
     let mut trace = None;
-    let mut child = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
@@ -48,8 +47,6 @@ fn parse(args: &[String]) -> Result<Settings, String> {
                     _ => return Err(format!("--trace takes 0 or 1, not {value}")),
                 });
             }
-            // Internal: the run's sample processes (see `measure`).
-            "--child" => child = value == "1",
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
@@ -58,7 +55,6 @@ fn parse(args: &[String]) -> Result<Settings, String> {
         seed: seed.ok_or("--seed is required")?,
         seconds: seconds.ok_or("--seconds is required")? as f64,
         trace: trace.ok_or("--trace is required")?,
-        child,
         tiny: false,
     })
 }

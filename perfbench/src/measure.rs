@@ -1,24 +1,25 @@
 //! One benchmark run.
 //!
-//! Timings on a shared host depend on the process: memory placement and
-//! neighbours differ from one process to the next, so repetitions inside
-//! one process agree far better than the medians of fresh processes do.
-//! A run therefore takes its samples from several fresh *sample
-//! processes* (this binary, started with `--child 1`), one after another,
-//! until the requested seconds are spent. Each sample process sets up
-//! (several times where that is cheap), times one repetition of the
-//! timed phase, checks it and prints one `perfbench-sample` line. The run reports the medians over its sample
-//! processes and checks that all of them computed the same counters.
+//! An untraced run sets up several times (the median is `setup_s`), then
+//! repeats the checked timed phase in this process until the requested
+//! seconds are spent, timing the host-speed reference of
+//! [`crate::calibrate`] after each repetition. On a shared host,
+//! neighbours slow the program by a third or more for seconds to minutes
+//! at a time, and they slow the interleaved reference alike, so
+//! `events_per_s` is the work over the median repetition time, divided by
+//! the host speed the median reference time gives, and `setup_s` is the
+//! median set-up time multiplied by it. The workloads are
+//! sized so that a run holds tens to hundreds of repetitions.
 //!
-//! With `--trace 1` the run instead makes one traced measurement in
-//! process and reports the per-layer metrics of [`crate::traced`].
+//! With `--trace 1` the run instead makes one traced measurement and
+//! reports the per-layer metrics of [`crate::traced`].
 
+use crate::calibrate;
 use crate::host;
 use crate::report::{median, metric, result_json, Metric};
 use crate::traced;
 use crate::workloads::{self, Inputs, Outcome, Workload};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
 use std::time::Instant;
 
 /// What to run.
@@ -33,17 +34,14 @@ pub struct Settings {
     /// Report per-layer metrics from a traced run instead of end-to-end
     /// metrics.
     pub trace: bool,
-    /// Act as one sample process of a run.
-    pub child: bool,
     /// Use the tiny smoke-test sizes.
     pub tiny: bool,
 }
 
-/// What a run prints: one line, then the result line.
+/// What a run prints: the host fingerprint, then the result line.
 #[derive(Debug)]
 pub struct RunResult {
-    /// The line printed before the result: the host fingerprint, or the
-    /// sample line of a sample process.
+    /// The host fingerprint, printed before the result.
     pub line: String,
     /// Repetitions attempted.
     pub attempted: u64,
@@ -60,9 +58,10 @@ impl RunResult {
     }
 }
 
-/// The end-to-end metrics a run reports, with their units: the median
-/// over sample processes of the work rate, set-up seconds and peak
-/// resident set, and the share of repetitions that passed every check.
+/// The end-to-end metrics a run reports, with their units, the times at
+/// the reference host speed: the work rate of the median repetition, the
+/// median set-up seconds, the peak resident set after set-up and one
+/// repetition, and the share of repetitions that passed every check.
 pub const END_TO_END: [(&str, &str); 4] = [
     ("events_per_s", "1/s"),
     ("setup_s", "s"),
@@ -70,15 +69,20 @@ pub const END_TO_END: [(&str, &str); 4] = [
     ("success_rate", "frac"),
 ];
 
-/// Fewest sample processes a run takes, whatever `seconds` says.
-pub const MIN_SAMPLES: usize = 3;
+/// Fewest timed repetitions a run makes, whatever `seconds` says.
+pub const MIN_REPS: usize = 5;
 
-/// Set-up repetitions in one sample process: recording a trace costs
-/// seconds, a grid milliseconds.
+/// After each timed repetition the run times the host-speed reference
+/// until it has spent at least this share of the repetition's time on it
+/// (and at least once).
+const REFERENCE_SHARE: f64 = 0.25;
+
+/// Set-up repetitions in one run: recording a trace costs a fifth of a
+/// second, a grid about a millisecond.
 fn setup_reps(workload: Workload) -> usize {
     match workload {
-        Workload::TraceReplay => 1,
-        _ => 7,
+        Workload::TraceReplay => 5,
+        _ => 101,
     }
 }
 
@@ -126,209 +130,95 @@ impl Checks {
     }
 }
 
-/// Runs set-up `reps` times and returns the last inputs with the median
-/// set-up seconds.
-pub fn timed_setup(settings: &Settings, reps: usize, scratch: &Path) -> (Inputs, f64) {
-    let size = settings.workload.size(settings.tiny);
-    let mut times = Vec::with_capacity(reps);
-    let mut inputs = None;
-    for _ in 0..reps {
-        drop(inputs.take());
-        let started = Instant::now();
-        inputs = Some(workloads::setup(
-            settings.workload,
-            size,
-            settings.seed,
-            scratch,
-        ));
-        times.push(started.elapsed().as_secs_f64());
-    }
-    (inputs.expect("at least one set-up"), median(&times))
-}
-
-/// What one sample process measured: one set-up (median of several where
-/// that is cheap) and one checked repetition of the timed phase.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Sample {
-    /// Work rate of the repetition.
-    pub rate: f64,
-    /// Median set-up seconds.
-    pub setup_s: f64,
-    /// The process's peak resident set, in MiB.
-    pub peak_rss_mb: f64,
-    /// Seconds the process waited on a run queue.
-    pub runq_wait_s: f64,
-    /// Whether the repetition passed its checks.
-    pub passed: bool,
-    /// Its deterministic counters.
-    pub counters: Vec<(String, u64)>,
-}
-
-const SAMPLE_TAG: &str = "perfbench-sample";
-
-impl Sample {
-    /// The line a sample process prints.
-    pub fn to_line(&self) -> String {
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(name, value)| format!("{name}:{value}"))
-            .collect();
-        format!(
-            "{SAMPLE_TAG} rate={:?} setup_s={:?} peak_rss_mb={:?} runq_wait_s={:?} passed={} \
-             counters={}",
-            self.rate,
-            self.setup_s,
-            self.peak_rss_mb,
-            self.runq_wait_s,
-            self.passed,
-            counters.join(",")
-        )
-    }
-
-    /// Parses a sample line; `None` if `line` is not one.
-    pub fn parse(line: &str) -> Option<Sample> {
-        let mut fields = line.split_whitespace();
-        if fields.next()? != SAMPLE_TAG {
-            return None;
-        }
-        let mut sample = Sample {
-            rate: 0.0,
-            setup_s: 0.0,
-            peak_rss_mb: 0.0,
-            runq_wait_s: 0.0,
-            passed: false,
-            counters: Vec::new(),
-        };
-        for field in fields {
-            let (key, value) = field.split_once('=')?;
-            match key {
-                "rate" => sample.rate = value.parse().ok()?,
-                "setup_s" => sample.setup_s = value.parse().ok()?,
-                "peak_rss_mb" => sample.peak_rss_mb = value.parse().ok()?,
-                "runq_wait_s" => sample.runq_wait_s = value.parse().ok()?,
-                "passed" => sample.passed = value.parse().ok()?,
-                "counters" => {
-                    for pair in value.split(',').filter(|p| !p.is_empty()) {
-                        let (name, count) = pair.split_once(':')?;
-                        sample
-                            .counters
-                            .push((name.to_string(), count.parse().ok()?));
-                    }
-                }
-                _ => return None,
-            }
-        }
-        Some(sample)
-    }
-}
-
-/// The measurement one sample process makes, in this process.
-pub fn sample_here(settings: &Settings, scratch: &Path) -> Sample {
-    let (inputs, setup_s) = timed_setup(settings, setup_reps(settings.workload), scratch);
+/// Sets up once and returns the inputs with the seconds it took.
+fn timed_setup(settings: &Settings, scratch: &Path) -> (Inputs, f64) {
     let started = Instant::now();
-    let outcome = workloads::run(&inputs);
-    let secs = started.elapsed().as_secs_f64();
-    if let Some(recording) = &inputs.recording {
+    let inputs = workloads::setup(
+        settings.workload,
+        settings.workload.size(settings.tiny),
+        settings.seed,
+        scratch,
+    );
+    (inputs, started.elapsed().as_secs_f64())
+}
+
+/// Deletes the trace a set-up recorded, if any.
+fn discard(inputs: Inputs) {
+    if let Some(recording) = inputs.recording {
         // Best effort: a leftover file is only disk space.
         let _ = std::fs::remove_file(&recording.path);
     }
-    if let Some(failure) = outcome.failures.first() {
-        eprintln!("perfbench: check failed: {failure}");
-    }
-    Sample {
-        rate: outcome.work as f64 / secs.max(1e-9),
-        setup_s,
-        peak_rss_mb: host::peak_rss_mb().unwrap_or(0.0),
-        runq_wait_s: host::runq_wait_s().unwrap_or(0.0),
-        passed: outcome.failures.is_empty(),
-        counters: outcome
-            .counters
-            .iter()
-            .map(|(name, value)| ((*name).to_string(), *value))
-            .collect(),
-    }
 }
 
-/// Starts one sample process and collects its sample. `None` when it
-/// failed to start, crashed or printed no sample line.
-fn sample_process(settings: &Settings) -> Option<Sample> {
-    let exe = std::env::current_exe().ok()?;
-    let output = Command::new(exe)
-        .args([
-            "--workload",
-            settings.workload.name(),
-            "--seed",
-            &settings.seed.to_string(),
-            "--seconds",
-            &(settings.seconds.ceil() as u64).to_string(),
-            "--trace",
-            "0",
-            "--child",
-            "1",
-        ])
-        .stdin(Stdio::null())
-        .stderr(Stdio::inherit())
-        .output()
-        .ok()?;
-    if !output.status.success() {
-        eprintln!("perfbench: sample process failed: {}", output.status);
-        return None;
-    }
-    String::from_utf8_lossy(&output.stdout)
-        .lines()
-        .find_map(Sample::parse)
-}
-
-/// Takes sample processes until `settings.seconds` have passed (at least
-/// [`MIN_SAMPLES`]) and reports the end-to-end metrics over them. Each
-/// sample process is one attempted repetition; it fails when it crashed,
-/// failed a check, or computed other counters than the first sample.
-fn sampled_run(settings: &Settings) -> RunResult {
+/// The untraced run: set-up, one warm-up repetition, further set-ups
+/// for the `setup_s` median, then timed repetitions until `settings.seconds` have passed since the start (at
+/// least [`MIN_REPS`]), each followed by the host-speed reference. Every
+/// repetition, the warm-up too, is checked and must repeat the warm-up's
+/// counters.
+fn timed_run(settings: &Settings, scratch: &Path) -> RunResult {
     let started = Instant::now();
-    let mut samples: Vec<Sample> = Vec::new();
-    let (mut attempted, mut failed) = (0u64, 0u64);
-    while samples.len() < MIN_SAMPLES || started.elapsed().as_secs_f64() < settings.seconds {
-        attempted += 1;
-        let Some(sample) = sample_process(settings) else {
-            failed += 1;
-            if failed >= MIN_SAMPLES as u64 && samples.is_empty() {
-                break;
-            }
-            continue;
-        };
-        let differs = samples
-            .first()
-            .and_then(|first| workloads::first_difference(&first.counters, &sample.counters));
-        if let Some(difference) = &differs {
-            eprintln!("perfbench: check failed: across sample processes, {difference}");
-        }
-        if !sample.passed || differs.is_some() {
-            failed += 1;
-        }
-        samples.push(sample);
+    let (inputs, first_setup_s) = timed_setup(settings, scratch);
+    let mut checks = Checks::default();
+    let warm_up = workloads::run(&inputs);
+    checks.record(&warm_up);
+    // The peak of one set-up and one repetition, read before the further
+    // set-ups and repetitions: each of those frees and reallocates its
+    // state, and the fragmentation that leaves grows the process's peak
+    // by up to half again, by an amount that depends on the seed.
+    let peak_rss_mb = host::peak_rss_mb().unwrap_or(0.0);
+    let mut setup_times = vec![first_setup_s];
+    while setup_times.len() < setup_reps(settings.workload) {
+        let (extra, secs) = timed_setup(settings, scratch);
+        discard(extra);
+        setup_times.push(secs);
     }
-    let pick = |f: fn(&Sample) -> f64| median(&samples.iter().map(f).collect::<Vec<_>>());
-    let shown: Vec<String> = samples.iter().map(|s| format!("{:.4e}", s.rate)).collect();
+    let setup_s = median(&setup_times);
+    let mut times = Vec::new();
+    let mut reference_times = Vec::new();
+    while times.len() < MIN_REPS || started.elapsed().as_secs_f64() < settings.seconds {
+        let rep_started = Instant::now();
+        let outcome = workloads::run(&inputs);
+        let secs = rep_started.elapsed().as_secs_f64();
+        times.push(secs);
+        checks.record(&outcome);
+        let mut spent = 0.0;
+        while spent == 0.0 || spent < secs * REFERENCE_SHARE {
+            let (reference_s, events) = calibrate::reference();
+            assert_eq!(events, calibrate::EVENTS, "the reference flood is fixed");
+            reference_times.push(reference_s);
+            spent += reference_s;
+        }
+    }
+    discard(inputs);
+    let (median_s, median_reference_s) = (median(&times), median(&reference_times));
+    let host_speed = calibrate::host_speed(median_reference_s);
+    let raw_rate = warm_up.work as f64 / median_s.max(1e-9);
+    let fastest = |t: &[f64]| t.iter().copied().fold(f64::INFINITY, f64::min);
     eprintln!(
-        "perfbench: {} sample processes, work/s [{}]",
-        samples.len(),
-        shown.join(", ")
+        "perfbench: {} timed repetitions, seconds: median {median_s:.4}, fastest {:.4}; \
+         {} reference floods, seconds: median {median_reference_s:.4}, fastest {:.4}",
+        times.len(),
+        fastest(&times),
+        reference_times.len(),
+        fastest(&reference_times)
     );
-    // The run's wait: this process's plus every sample process's.
-    let runq_wait_s =
-        host::runq_wait_s().unwrap_or(0.0) + samples.iter().map(|s| s.runq_wait_s).sum::<f64>();
+    let calibration = [
+        ("raw_events_per_s", raw_rate),
+        ("raw_setup_s", setup_s),
+        ("reference_median_s", median_reference_s),
+        ("host_speed", host_speed),
+    ];
     RunResult {
-        line: host::fingerprint_json(runq_wait_s),
-        attempted,
-        failed,
+        line: host::fingerprint_json(host::runq_wait_s().unwrap_or(0.0), &calibration),
+        attempted: checks.attempted,
+        failed: checks.failed,
         metrics: END_TO_END
             .iter()
             .zip([
-                pick(|s| s.rate),
-                pick(|s| s.setup_s),
-                pick(|s| s.peak_rss_mb),
-                (attempted - failed) as f64 / attempted.max(1) as f64,
+                raw_rate / host_speed,
+                setup_s * host_speed,
+                peak_rss_mb,
+                (checks.attempted - checks.failed) as f64 / checks.attempted.max(1) as f64,
             ])
             .map(|(&(name, unit), value)| metric(name, value, unit))
             .collect(),
@@ -354,41 +244,19 @@ pub fn run(settings: &Settings) -> RunResult {
         // Best effort: a leftover file is only disk space.
         let _ = std::fs::remove_file(&trace);
         RunResult {
-            line: host::fingerprint_json(host::runq_wait_s().unwrap_or(0.0)),
+            line: host::fingerprint_json(host::runq_wait_s().unwrap_or(0.0), &[]),
             attempted: checks.attempted,
             failed: checks.failed,
             metrics,
         }
-    } else if settings.child {
-        let sample = sample_here(settings, &scratch);
-        RunResult {
-            line: sample.to_line(),
-            attempted: 1,
-            failed: u64::from(!sample.passed),
-            metrics: Vec::new(),
-        }
     } else {
-        sampled_run(settings)
+        timed_run(settings, &scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sample_lines_round_trip() {
-        let sample = Sample {
-            rate: 1.25e6,
-            setup_s: 0.0031,
-            peak_rss_mb: 70.5,
-            runq_wait_s: 0.002,
-            passed: false,
-            counters: vec![("events".to_string(), 12), ("rcv".to_string(), 7)],
-        };
-        assert_eq!(Sample::parse(&sample.to_line()), Some(sample));
-        assert_eq!(Sample::parse("{\"host\": {}}"), None);
-    }
 
     #[test]
     fn checks_flag_counters_that_differ_between_repetitions() {

@@ -56,13 +56,13 @@ impl Workload {
     /// test.
     pub fn size(self, tiny: bool) -> Size {
         let (n, grey, k, f_prog, f_ack) = match (self, tiny) {
-            (Workload::FloodGrid, false) => (200_000, 0.0, 2, 2, 32),
+            (Workload::FloodGrid, false) => (10_000, 0.0, 2, 2, 32),
             (Workload::FloodGrid, true) => (400, 0.0, 2, 2, 32),
-            (Workload::GreyzoneLazy, false) => (10_000, 0.5, 32, 2, 32),
+            (Workload::GreyzoneLazy, false) => (2_500, 0.5, 32, 2, 32),
             (Workload::GreyzoneLazy, true) => (100, 0.5, 4, 2, 32),
-            (Workload::FmmbEnhanced, false) => (1_000, 0.5, 4, 2, 32),
+            (Workload::FmmbEnhanced, false) => (400, 0.5, 4, 2, 32),
             (Workload::FmmbEnhanced, true) => (64, 0.5, 2, 2, 32),
-            (Workload::TraceReplay, false) => (10_000, 0.5, 16, 4, 32),
+            (Workload::TraceReplay, false) => (2_500, 0.5, 16, 4, 32),
             (Workload::TraceReplay, true) => (100, 0.5, 4, 4, 32),
         };
         Size {

@@ -11,7 +11,6 @@ fn tiny(workload: Workload, trace: bool) -> Settings {
         seed: 3,
         seconds: 1.0,
         trace,
-        child: true,
         tiny: true,
     }
 }
@@ -37,10 +36,17 @@ fn every_workload_passes_its_checks_untraced() {
         let result = measure::run(&tiny(workload, false));
         assert!(result.attempted >= 1, "{}: nothing ran", workload.name());
         assert_eq!(result.failed, 0, "{}: a check failed", workload.name());
-        let sample =
-            measure::Sample::parse(&result.line).expect("a sample process prints its sample line");
-        assert!(sample.rate > 0.0 && sample.setup_s > 0.0, "{sample:?}");
-        assert!(!sample.counters.is_empty(), "{sample:?}");
+        let value = |name: &str| {
+            result
+                .metrics
+                .iter()
+                .find(|m| m.name == name)
+                .map(|m| m.value)
+                .expect("end-to-end metric")
+        };
+        assert!(value("events_per_s") > 0.0, "{}", workload.name());
+        assert!(value("setup_s") > 0.0, "{}", workload.name());
+        assert_eq!(value("success_rate"), 1.0, "{}", workload.name());
     }
 }
 
