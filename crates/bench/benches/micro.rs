@@ -9,10 +9,13 @@ use amac_core::{run_bmmb, Assignment, RunOptions};
 use amac_graph::{generators, DualGraph, NodeId};
 use amac_mac::policies::{EagerPolicy, LazyPolicy};
 use amac_mac::MacConfig;
-use amac_sim::{EventQueue, SimRng, Time};
+use amac_sim::{Duration, EventId, EventQueue, SimRng, Time};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+/// Bulk push then drain of 10k events at uniform times over 2²⁰ ticks.
+/// Nearly all of them lie beyond the queue's 64-tick bucket ring, so this
+/// times the overflow heap; the hold benches below time the ring.
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_10k", |b| {
         b.iter_batched(
@@ -36,6 +39,59 @@ fn bench_event_queue(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
+}
+
+/// Hold steps per Criterion iteration of the hold benches.
+const HOLD_STEPS: usize = 1000;
+
+/// Pre-drawn delays and cancel decisions, cycled by the hold benches.
+const HOLD_DRAWS: usize = 4096;
+
+/// Recently scheduled events a hold-bench cancel picks from.
+const HOLD_RECENT: usize = 64;
+
+/// The hold model, the classic pending-set benchmark: the queue stays at
+/// `depth` events; each step pops the earliest and schedules its successor
+/// a uniform `0..=spread` ticks ahead, and a `cancel_frac` share of steps
+/// also cancels a recently scheduled event and schedules a replacement.
+/// One iteration is `HOLD_STEPS` steps on a queue that persists across
+/// iterations (steady state).
+fn bench_hold(c: &mut Criterion, name: &str, depth: u64, spread: u64, cancel_frac: f64) {
+    let mut rng = SimRng::seed(0x401D ^ depth);
+    let delays: Vec<Duration> = (0..HOLD_DRAWS)
+        .map(|_| Duration::from_ticks(rng.below(spread + 1)))
+        .collect();
+    let cancels: Vec<bool> = (0..HOLD_DRAWS).map(|_| rng.chance(cancel_frac)).collect();
+    let mut q = EventQueue::new();
+    let mut recent: Vec<EventId> = (0..depth)
+        .map(|i| q.schedule(Time::from_ticks(rng.below(spread + 1)), i))
+        .collect();
+    recent.truncate(HOLD_RECENT);
+    let mut step = 0usize;
+    c.bench_function(name, |b| {
+        b.iter(|| {
+            for _ in 0..HOLD_STEPS {
+                let draw = step % HOLD_DRAWS;
+                step += 1;
+                let (_, event) = q.pop().expect("the hold model keeps the queue non-empty");
+                let pick = (draw * 7) % recent.len();
+                if cancels[draw] && q.cancel(recent[pick]) {
+                    recent[pick] = q.schedule_after(delays[(draw + 1) % HOLD_DRAWS], event);
+                }
+                let slot = step % recent.len();
+                recent[slot] = q.schedule_after(delays[draw], black_box(event));
+            }
+        });
+    });
+}
+
+/// Hold benches shaped like two `perfbench` workloads: `flood_grid` (10⁴
+/// pending, deliveries and acks up to `F_ack` = 32 ticks ahead, no
+/// cancels) and `fmmb_enhanced` (a timer per node of 400, one FMMB round
+/// of 4 ticks ahead, about 1.4% of steps aborting a pending event).
+fn bench_event_queue_hold(c: &mut Criterion) {
+    bench_hold(c, "event_queue_hold_10k_spread32", 10_000, 32, 0.0);
+    bench_hold(c, "event_queue_hold_400_spread4_cancel", 400, 4, 0.014);
 }
 
 /// The runtime hot path at scale: a k=2 BMMB flood over a 1,000-node line
@@ -176,6 +232,7 @@ fn bench_topology(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_queue,
+    bench_event_queue_hold,
     bench_runtime_hot_path,
     bench_sharded_threads,
     bench_bmmb,

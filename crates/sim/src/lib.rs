@@ -11,8 +11,9 @@
 //!   preserve exactly);
 //! * [`EventQueue`] — a pending-event queue with stable FIFO ordering at
 //!   equal timestamps, so zero-delay step chains have a well-defined,
-//!   reproducible order, plus O(1) lazy cancellation (needed for the
-//!   enhanced MAC layer's `abort`);
+//!   reproducible order, O(1) schedule and pop for events within 64 ticks
+//!   of the clock (per-tick buckets, an overflow heap beyond), plus O(1)
+//!   lazy cancellation (needed for the enhanced MAC layer's `abort`);
 //! * [`ShardedEventQueue`] — the same total order over K per-shard queues
 //!   with a shared sequence counter and conservative time-windowed
 //!   cross-shard outboxes: the substrate of the sharded MAC runtime,

@@ -5,6 +5,23 @@
 //! lets us model the paper's zero-delay automaton steps: a chain of events
 //! scheduled "now" executes in a well-defined order without time passing.
 //!
+//! ## Pending set: tick buckets plus an overflow heap
+//!
+//! Simulated time is integer ticks, and nearly every event lands a few
+//! ticks ahead of the clock (at most `F_ack` for deliveries and acks, a
+//! round of a few ticks for protocol timers). The pending entries therefore
+//! live in a ring of per-tick FIFO buckets covering the next 64 ticks, with
+//! a binary heap only for times beyond the ring — a calendar queue (Brown,
+//! CACM 1988), see `queue/buckets.rs`. Schedule and pop are O(1) for
+//! in-ring times and O(log n) in the heap otherwise.
+//!
+//! The pop order is exactly `(time, seq)`: within one tick the order in
+//! which entries are appended to a bucket *is* sequence order, because the
+//! sequence counter grows with every `schedule` call and entries move in
+//! from the overflow heap in `(time, seq)` order. The one exception — a
+//! sharded barrier merging an older sequence number into a bucket that
+//! already holds newer ones — takes an ordered insert instead of an append.
+//!
 //! ## Cancellation: slot-generation ids
 //!
 //! Cancellation is O(1) and allocation-free: every scheduled event occupies
@@ -12,14 +29,17 @@
 //! counter, and its [`EventId`] is the `(slot, generation)` pair. Cancelling
 //! or delivering an event bumps the slot's generation, which atomically
 //! invalidates the id and recycles the slot for the next `schedule` — no
-//! hash-set tombstones, no per-event hashing on the hot path. Heap entries
-//! whose generation no longer matches their slot are skipped (and
-//! reclaimed) when they surface; when cancelled entries ever outnumber live
-//! ones the heap is compacted in place, so queue memory stays proportional
-//! to the number of *live* events even across millions of
-//! schedule/cancel cycles.
+//! hash-set tombstones, no per-event hashing on the hot path. Pending
+//! entries whose generation no longer matches their slot are skipped (and
+//! reclaimed) when they reach the front; when cancelled entries ever
+//! outnumber live ones the pending set is compacted in place, so queue
+//! memory stays proportional to the number of *live* events even across
+//! millions of schedule/cancel cycles.
+
+mod buckets;
 
 use crate::time::{Duration, Time};
+use buckets::TickBuckets;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -65,8 +85,8 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Minimum heap size before compaction is considered (avoids churn on tiny
-/// queues where the stale entries are cheaper than a rebuild).
+/// Minimum pending-set size before compaction is considered (avoids churn
+/// on tiny queues where the stale entries are cheaper than a rebuild).
 const COMPACT_MIN: usize = 64;
 
 /// A time-ordered queue of simulation events with stable FIFO tie-breaking
@@ -85,13 +105,13 @@ const COMPACT_MIN: usize = 64;
 /// assert_eq!(q.now(), Time::from_ticks(1));
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    /// Current generation per slot. A heap entry is live iff its stamped
-    /// generation equals its slot's current generation.
+    pending: TickBuckets<E>,
+    /// Current generation per slot. A pending entry is live iff its
+    /// stamped generation equals its slot's current generation.
     generations: Vec<u32>,
     /// Recycled slot indices available for the next `schedule`.
     free: Vec<u32>,
-    /// Heap entries that are cancelled but not yet reclaimed.
+    /// Pending entries that are cancelled but not yet reclaimed.
     stale: usize,
     next_seq: u64,
     now: Time,
@@ -102,7 +122,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`Time::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            pending: TickBuckets::new(),
             generations: Vec::new(),
             free: Vec::new(),
             stale: 0,
@@ -143,10 +163,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Reserves a slot (stamped with its current generation) without
-    /// pushing a heap entry — the caller owns delivering the entry later
+    /// pushing a pending entry — the caller owns delivering the entry later
     /// via [`push_entry`](EventQueue::push_entry). Used by the sharded
     /// queue's outboxes, where the id must exist (for cancellation) before
-    /// the event is merged into the heap at the next barrier.
+    /// the event is merged into the shard at the next barrier.
     fn alloc_slot(&mut self) -> EventId {
         let slot = match self.free.pop() {
             Some(slot) => slot,
@@ -163,12 +183,12 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pushes a fully specified heap entry for a slot reserved with
+    /// Pushes a fully specified pending entry for a slot reserved with
     /// [`alloc_slot`](EventQueue::alloc_slot). The `(at, seq)` pair is the
     /// caller's: the sharded queue assigns sequence numbers from a single
     /// shared counter so the merged order equals the sequential one.
     fn push_entry(&mut self, at: Time, seq: u64, id: EventId, event: E) {
-        self.heap.push(Entry {
+        self.pending.push(Entry {
             at,
             seq,
             slot: id.slot,
@@ -185,8 +205,8 @@ impl<E> EventQueue<E> {
     /// Cancels a previously scheduled event. Returns `true` if the event had
     /// not yet been delivered or cancelled; cancelling an already-delivered
     /// (or unknown, or already-cancelled) id is a no-op returning `false`.
-    /// `O(1)` amortized; the cancelled entry's heap slot is reclaimed when
-    /// it reaches the front, or by compaction when stale entries ever
+    /// `O(1)` amortized; the cancelled pending entry is reclaimed when it
+    /// reaches the front, or by compaction when stale entries ever
     /// outnumber live ones.
     pub fn cancel(&mut self, id: EventId) -> bool {
         if self
@@ -204,32 +224,30 @@ impl<E> EventQueue<E> {
     }
 
     /// Bumps a slot's generation (invalidating every outstanding id and
-    /// heap entry stamped with it) and recycles it.
+    /// pending entry stamped with it) and recycles it.
     fn retire(&mut self, slot: u32) {
         self.generations[slot as usize] = self.generations[slot as usize].wrapping_add(1);
         self.free.push(slot);
     }
 
-    /// Rebuilds the heap without its stale entries once they outnumber the
-    /// live ones. Amortized O(1) per cancel: a rebuild costing O(heap) only
-    /// runs after at least heap/2 cancellations.
+    /// Drops the stale entries from the pending set once they outnumber
+    /// the live ones. Amortized O(1) per cancel: a pass costing O(pending)
+    /// only runs after at least pending/2 cancellations.
     fn maybe_compact(&mut self) {
-        if self.heap.len() < COMPACT_MIN || self.stale * 2 < self.heap.len() {
+        let len = self.pending.len();
+        if len < COMPACT_MIN || self.stale * 2 < len {
             return;
         }
         let generations = &self.generations;
-        let entries: Vec<Entry<E>> = std::mem::take(&mut self.heap)
-            .into_iter()
-            .filter(|e| generations[e.slot as usize] == e.generation)
-            .collect();
-        self.heap = BinaryHeap::from(entries);
+        self.pending
+            .retain(|slot, generation| generations[slot as usize] == generation);
         self.stale = 0;
     }
 
     /// Removes and returns the earliest pending event, advancing the clock
     /// to its timestamp. Ties are broken by scheduling order.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        while let Some(entry) = self.heap.pop() {
+        while let Some(entry) = self.pending.pop() {
             if self.generations[entry.slot as usize] != entry.generation {
                 self.stale = self.stale.saturating_sub(1);
                 continue; // cancelled: skip and reclaim
@@ -250,9 +268,9 @@ impl<E> EventQueue<E> {
     /// `(time, sequence)` key of the next pending event without removing
     /// it — the total order the sharded queue's K-way merge selects on.
     fn peek_key(&mut self) -> Option<(Time, u64)> {
-        while let Some(entry) = self.heap.peek() {
+        while let Some(entry) = self.pending.peek() {
             if self.generations[entry.slot as usize] != entry.generation {
-                self.heap.pop();
+                self.pending.pop();
                 self.stale = self.stale.saturating_sub(1);
                 continue;
             }
@@ -261,18 +279,18 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Drains every entry with `at < end` from the heap into `out`, in
+    /// Drains every pending entry with `at < end` into `out`, in
     /// `(time, seq)` order, **without** retiring slot generations — the
     /// threaded sharded drain extracts a window's events on a worker
     /// thread and defers retirement to the coordinator's canonical
     /// consume, so post-extraction cancels still observe a live id.
     /// Stale (cancelled) entries are dropped and reclaimed here.
     fn extract_window(&mut self, end: Time, out: &mut VecDeque<Entry<E>>) {
-        while let Some(head) = self.heap.peek() {
+        while let Some(head) = self.pending.peek() {
             if head.at >= end {
                 break;
             }
-            let entry = self.heap.pop().expect("peeked entry exists");
+            let entry = self.pending.pop().expect("peeked entry exists");
             if self.generations[entry.slot as usize] != entry.generation {
                 self.stale = self.stale.saturating_sub(1);
                 continue;
@@ -281,14 +299,14 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Merges a barrier inbox into the heap: live entries are pushed with
-    /// their original `(at, seq)` key, cancelled-while-buffered entries are
-    /// dropped and the stale counter rebalanced (their cancel counted a
-    /// heap entry that was never pushed).
+    /// Merges a barrier inbox into the pending set: live entries are
+    /// pushed with their original `(at, seq)` key, cancelled-while-buffered
+    /// entries are dropped and the stale counter rebalanced (their cancel
+    /// counted a pending entry that was never pushed).
     fn integrate_inbox(&mut self, inbox: &mut Vec<Inboxed<E>>) {
         // Canonical per-destination batch order (determinism rule 5): the
-        // heap's pop order is independent of push order, but the batch
-        // order stays the documented `(tick, seq)` one.
+        // pop order is independent of push order, but the batch order
+        // stays the documented `(tick, seq)` one.
         inbox.sort_unstable_by_key(|i| (i.at, i.seq));
         for i in inbox.drain(..) {
             if self.generations[i.id.slot as usize] == i.id.generation {
@@ -307,7 +325,7 @@ impl<E> EventQueue<E> {
     /// Number of pending entries, **including** not-yet-reclaimed
     /// cancellations (an upper bound on deliverable events).
     pub fn pending_upper_bound(&self) -> usize {
-        self.heap.len()
+        self.pending.len()
     }
 }
 
@@ -321,7 +339,7 @@ impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field("pending", &self.pending.len())
             .field("delivered", &self.popped)
             .finish()
     }
@@ -339,7 +357,7 @@ pub const MAX_SHARDS: usize = 1 << SHARD_BITS;
 
 /// One cross-shard event parked until the next window barrier: it already
 /// owns its global sequence number and a reserved slot in the destination
-/// shard (so cancellation works while parked), but its heap entry is only
+/// shard (so cancellation works while parked), but its pending entry is only
 /// merged at the barrier.
 struct Outboxed<E> {
     dest: u32,
@@ -352,7 +370,7 @@ struct Outboxed<E> {
 /// One event buffered for a *future* window under the threaded drain: it
 /// owns its global sequence number and a reserved slot on the destination
 /// shard (so cancellation works while buffered), and a worker thread
-/// integrates it into the destination heap at the next barrier.
+/// integrates it into the destination shard at the next barrier.
 struct Inboxed<E> {
     at: Time,
     seq: u64,
@@ -424,23 +442,23 @@ struct ThreadedState<E> {
     /// Worker threads per barrier (clamped to the shard count).
     threads: usize,
     /// Per-shard sorted runs of the current window, extracted from the
-    /// heaps by the barrier workers and consumed front-to-back by the
+    /// shards by the barrier workers and consumed front-to-back by the
     /// coordinator's global `(time, seq)` argmin.
     runs: Vec<VecDeque<Entry<E>>>,
     /// Events scheduled *inside* the current window (same- or cross-shard
-    /// zero-lookahead spawns): the shard heaps are already extracted, so
+    /// zero-lookahead spawns): the shards are already extracted, so
     /// these merge through a coordinator-local overlay heap. Entries pack
     /// the destination shard into the slot word like public ids.
     overlay: BinaryHeap<Entry<E>>,
     /// Per shard: overlay entries destined for it (pending accounting).
     overlay_per_shard: Vec<usize>,
     /// Per destination shard: events buffered for future windows,
-    /// integrated into the heaps by the barrier workers.
+    /// integrated into the shards by the barrier workers.
     inboxes: Vec<Vec<Inboxed<E>>>,
     /// Total entries across all inboxes (cheap emptiness/compaction test).
     inbox_len: usize,
     /// Successful cancels since the inboxes/overlay were last compacted —
-    /// the same stale-versus-live policy as the heaps, so schedule/cancel
+    /// the same stale-versus-live policy as the shards, so schedule/cancel
     /// churn of buffered events cannot grow memory between barriers.
     buffered_cancels: usize,
     /// Current window width (equals `base_width` under
@@ -496,7 +514,7 @@ pub struct ShardStats {
     /// deployment each one is a synchronization point; the counter
     /// quantifies how conservative the windowing is for a workload.
     pub lookahead_misses: u64,
-    /// Per shard: peak pending events (heap entries plus parked outbox
+    /// Per shard: peak pending events (queued entries plus parked outbox
     /// entries destined for the shard).
     pub peak_pending: Vec<usize>,
     /// Per shard: accumulated idle ticks at window barriers — for each
@@ -637,12 +655,12 @@ struct ProfileState {
 /// Shards advance through windows of a fixed lookahead `L` (the MAC
 /// layer passes `min(F_prog, F_ack)`): within the window `[w, w+L)` every
 /// popped event has time `< w+L`, and a cross-shard event scheduled at or
-/// beyond `w+L` is **not** inserted into the destination heap immediately
+/// beyond `w+L` is **not** inserted into the destination shard immediately
 /// — it is parked in an outbox and merged at the barrier, batched with
 /// everything else that crossed shards this window, in canonical
 /// `(tick, destination shard, sequence)` order. Parking is order-safe
 /// precisely because of the window invariant: nothing with time `≥ w+L`
-/// can be popped before the barrier, so deferring the heap insertion is
+/// can be popped before the barrier, so deferring the insertion is
 /// unobservable. Cross-shard events *inside* the window (zero-delay
 /// chains, deliveries faster than the lookahead) are routed immediately
 /// and counted as [`lookahead_misses`](ShardStats::lookahead_misses).
@@ -792,7 +810,7 @@ impl<E> ShardedEventQueue<E> {
         );
         let cross = self.current_shard.is_some_and(|src| src != shard);
         let pending = if let Some(ts) = &mut self.threaded {
-            // Threaded drain: the heaps were extracted up to `window_end`,
+            // Threaded drain: the shards were extracted up to `window_end`,
             // so in-window events merge through the coordinator's overlay
             // and future events are buffered for worker-side integration
             // at the next barrier. The counters keep the fused semantics:
@@ -860,7 +878,7 @@ impl<E> ShardedEventQueue<E> {
         self.schedule(shard, self.now + delay, event)
     }
 
-    /// Cancels a previously scheduled event (parked or heap-resident).
+    /// Cancels a previously scheduled event (parked or shard-resident).
     /// Same semantics as [`EventQueue::cancel`].
     pub fn cancel(&mut self, id: EventId) -> bool {
         let shard = (id.slot >> SHARD_SHIFT) as usize;
@@ -874,7 +892,7 @@ impl<E> ShardedEventQueue<E> {
         if cancelled {
             // The cancel may have hit a parked outbox entry; compact the
             // outbox once cancels could account for half of it (amortized
-            // O(1) per cancel, same policy as the heap compaction), so
+            // O(1) per cancel, same policy as the shard compaction), so
             // schedule/cancel churn of parked events cannot grow memory.
             self.outbox_cancels += 1;
             if self.outbox.len() >= COMPACT_MIN && self.outbox_cancels * 2 >= self.outbox.len() {
@@ -1026,7 +1044,7 @@ impl<E> ShardedEventQueue<E> {
 
     /// Selects the shard holding the globally earliest live event,
     /// advancing windows (flushing outboxes) as needed. Returns `None`
-    /// only when every heap and the outbox are exhausted.
+    /// only when every shard and the outbox are exhausted.
     fn settle(&mut self) -> Option<usize> {
         loop {
             let mut best: Option<(Time, u64, usize)> = None;
@@ -1048,7 +1066,7 @@ impl<E> ShardedEventQueue<E> {
     /// Crosses the window barrier: accounts per-shard slack, flushes the
     /// outbox in canonical `(tick, destination shard, sequence)` order,
     /// and opens the next window at the earliest remaining event.
-    fn advance_window(&mut self, next_heap_time: Option<Time>) {
+    fn advance_window(&mut self, next_shard_time: Option<Time>) {
         let barrier_start = self.profiling.is_some().then(std::time::Instant::now);
         let barrier_tick = self.window_end.ticks();
         self.stats.barriers += 1;
@@ -1060,7 +1078,7 @@ impl<E> ShardedEventQueue<E> {
         // Canonical cross-shard merge order (determinism rule 5). The sort
         // key is total — sequence numbers are unique — so the batch order
         // is independent of outbox insertion order. Heap insertion order
-        // does not affect pop order (the heap sorts by `(time, seq)`), but
+        // does not affect pop order (shards order by `(time, seq)`), but
         // the canonical batch order is part of the documented contract and
         // keeps any future batched side effects deterministic.
         let merge_start = self.profiling.is_some().then(std::time::Instant::now);
@@ -1076,7 +1094,7 @@ impl<E> ShardedEventQueue<E> {
                 self.shards[dest].push_entry(o.at, o.seq, o.id, o.event);
             } else {
                 // Cancelled while parked: the cancel bumped the slot
-                // generation and counted a stale heap entry that was never
+                // generation and counted a stale pending entry that was never
                 // pushed — rebalance the destination's stale counter.
                 self.shards[dest].stale = self.shards[dest].stale.saturating_sub(1);
             }
@@ -1084,7 +1102,7 @@ impl<E> ShardedEventQueue<E> {
         // The next window starts at the earliest remaining event; when
         // nothing remains the window still moves forward so the loop in
         // `settle` terminates.
-        let next = match (next_heap_time, earliest_flushed) {
+        let next = match (next_shard_time, earliest_flushed) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (Some(a), None) => Some(a),
             (None, b) => b,
@@ -1189,7 +1207,7 @@ impl<E> ShardedEventQueue<E> {
             let q = &mut self.shards[shard];
             if q.generations[entry.slot as usize] != entry.generation {
                 // Cancelled after extraction/buffering: rebalance the
-                // stale count its cancel charged to the heap.
+                // stale count its cancel charged to the shard.
                 q.stale = q.stale.saturating_sub(1);
                 continue;
             }
@@ -1279,14 +1297,14 @@ impl<E> ShardedEventQueue<E> {
     /// phases via the stored driver. Returns `false` when nothing
     /// deliverable remains anywhere.
     fn threaded_advance(&mut self) -> bool {
-        let has_heap = self.shards.iter().any(|q| !q.heap.is_empty());
+        let has_pending = self.shards.iter().any(|q| q.pending.len() > 0);
         let had_inbox = self
             .threaded
             .as_ref()
             .expect("threaded drain enabled")
             .inbox_len
             > 0;
-        if !has_heap && !had_inbox {
+        if !has_pending && !had_inbox {
             return false;
         }
         self.retune_window();
@@ -1316,7 +1334,7 @@ impl<E> ShardedEventQueue<E> {
         // A barrier is *counted* (stats and slack) exactly when the fused
         // coordinator would have crossed one: a live event at or beyond
         // the window end (`next_start`), or buffered events to flush. The
-        // remaining case — only cancelled heap entries left — is the
+        // remaining case — only cancelled pending entries left — is the
         // fused settle's silent lazy reclamation, not a barrier.
         let counted = next_start.is_some() || had_inbox;
         if counted {
@@ -1330,7 +1348,7 @@ impl<E> ShardedEventQueue<E> {
         {
             let ts = self.threaded.as_mut().expect("threaded drain enabled");
             // The workers drained every inbox (live entries into the
-            // heaps, cancelled ones dropped).
+            // shards, cancelled ones dropped).
             ts.inbox_len = 0;
             ts.buffered_cancels = 0;
             ts.popped_at_barrier = self.popped;
@@ -1391,7 +1409,7 @@ impl<E: Send> ShardedEventQueue<E> {
     /// Switches the queue to the **thread-per-shard drain**: at every
     /// window barrier, up to `threads` scoped workers (clamped to the
     /// shard count) integrate the buffered future-window events into
-    /// their shards' heaps, agree on the next window via an in-scope
+    /// their shards, agree on the next window via an in-scope
     /// rendezvous, and extract the window's events into per-shard sorted
     /// runs — in parallel. The coordinator then consumes the runs (plus
     /// an overlay of in-window spawns) serially in global `(time, seq)`
@@ -1433,10 +1451,10 @@ impl<E: Send> ShardedEventQueue<E> {
             drive: drive_barrier::<E>,
             last_scope_end: None,
         });
-        // Migrate events scheduled before the mode switch: in-window heap
+        // Migrate events scheduled before the mode switch: in-window
         // entries move to the overlay (the first window consumes them
         // without an extra barrier, exactly like the fused coordinator),
-        // later ones stay heap-resident for the first barrier to extract.
+        // later ones stay shard-resident for the first barrier to extract.
         for shard in 0..k {
             let mut run = VecDeque::new();
             self.shards[shard].extract_window(self.window_end, &mut run);
@@ -1455,7 +1473,7 @@ impl<E: Send> ShardedEventQueue<E> {
 /// integrates its shards' inboxes and publishes its earliest live head
 /// into a shared atomic minimum. In-scope rendezvous. Phase two: every
 /// worker derives the same next window `[start, start + width)` from the
-/// atomic and extracts it from its shards' heaps into sorted runs.
+/// atomic and extracts it from its shards into sorted runs.
 ///
 /// Monomorphized under `E: Send` (scoped workers take `&mut` shard state
 /// across threads) and stored as a plain fn pointer in
@@ -1568,6 +1586,9 @@ impl<E> fmt::Debug for ShardedEventQueue<E> {
 }
 
 #[cfg(test)]
+mod differential;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1671,11 +1692,11 @@ mod tests {
         let mut q = EventQueue::new();
         let a = q.schedule(Time::from_ticks(1), 'a');
         q.cancel(a);
-        // peek_time reclaims the cancelled entry from the heap; cancelling
+        // peek_time reclaims the cancelled pending entry; cancelling
         // again afterwards must still be a no-op returning false.
         assert_eq!(q.peek_time(), None);
         assert!(!q.cancel(a));
-        assert_eq!(q.pending_upper_bound(), 0, "heap slot reclaimed");
+        assert_eq!(q.pending_upper_bound(), 0, "pending entry reclaimed");
     }
 
     #[test]
