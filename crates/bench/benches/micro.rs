@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 /// Bulk push then drain of 10k events at uniform times over 2²⁰ ticks.
-/// Nearly all of them lie beyond the queue's 64-tick bucket ring, so this
+/// Nearly all of them lie beyond the queue's 128-tick bucket ring, so this
 /// times the overflow heap; the hold benches below time the ring.
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_10k", |b| {
@@ -52,19 +52,25 @@ const HOLD_RECENT: usize = 64;
 
 /// The hold model, the classic pending-set benchmark: the queue stays at
 /// `depth` events; each step pops the earliest and schedules its successor
-/// a uniform `0..=spread` ticks ahead, and a `cancel_frac` share of steps
-/// also cancels a recently scheduled event and schedules a replacement.
-/// One iteration is `HOLD_STEPS` steps on a queue that persists across
-/// iterations (steady state).
-fn bench_hold(c: &mut Criterion, name: &str, depth: u64, spread: u64, cancel_frac: f64) {
+/// `delay` ticks ahead, and a `cancel_frac` share of steps also cancels a
+/// recently scheduled event and schedules a replacement. One iteration is
+/// `HOLD_STEPS` steps on a queue that persists across iterations (steady
+/// state).
+fn bench_hold(
+    c: &mut Criterion,
+    name: &str,
+    depth: u64,
+    delay: impl Fn(&mut SimRng) -> u64,
+    cancel_frac: f64,
+) {
     let mut rng = SimRng::seed(0x401D ^ depth);
     let delays: Vec<Duration> = (0..HOLD_DRAWS)
-        .map(|_| Duration::from_ticks(rng.below(spread + 1)))
+        .map(|_| Duration::from_ticks(delay(&mut rng)))
         .collect();
     let cancels: Vec<bool> = (0..HOLD_DRAWS).map(|_| rng.chance(cancel_frac)).collect();
     let mut q = EventQueue::new();
     let mut recent: Vec<EventId> = (0..depth)
-        .map(|i| q.schedule(Time::from_ticks(rng.below(spread + 1)), i))
+        .map(|i| q.schedule(Time::from_ticks(delay(&mut rng)), i))
         .collect();
     recent.truncate(HOLD_RECENT);
     let mut step = 0usize;
@@ -88,10 +94,36 @@ fn bench_hold(c: &mut Criterion, name: &str, depth: u64, spread: u64, cancel_fra
 /// Hold benches shaped like two `perfbench` workloads: `flood_grid` (10⁴
 /// pending, deliveries and acks up to `F_ack` = 32 ticks ahead, no
 /// cancels) and `fmmb_enhanced` (a timer per node of 400, one FMMB round
-/// of 4 ticks ahead, about 1.4% of steps aborting a pending event).
+/// of 4 ticks ahead, about 1.4% of steps aborting a pending event). Two
+/// more cover the experiments' larger delays: the lazy policy at the
+/// default `F_ack` = 64 of `F1-GG` and `F1-RR` (receives up to `F_prog` =
+/// 2 ticks ahead, every ack exactly 64 ahead: still inside the ring), and
+/// the `F1-ENH` crossover's `F_ack` in the thousands (the overflow heap).
 fn bench_event_queue_hold(c: &mut Criterion) {
-    bench_hold(c, "event_queue_hold_10k_spread32", 10_000, 32, 0.0);
-    bench_hold(c, "event_queue_hold_400_spread4_cancel", 400, 4, 0.014);
+    let uniform = |spread: u64| move |rng: &mut SimRng| rng.below(spread + 1);
+    bench_hold(c, "event_queue_hold_10k_spread32", 10_000, uniform(32), 0.0);
+    bench_hold(
+        c,
+        "event_queue_hold_400_spread4_cancel",
+        400,
+        uniform(4),
+        0.014,
+    );
+    let lazy_fack64 = |rng: &mut SimRng| if rng.chance(0.5) { 64 } else { rng.below(3) };
+    bench_hold(
+        c,
+        "event_queue_hold_10k_lazy_fack64",
+        10_000,
+        lazy_fack64,
+        0.0,
+    );
+    bench_hold(
+        c,
+        "event_queue_hold_1k_spread4096",
+        1_000,
+        uniform(4096),
+        0.0,
+    );
 }
 
 /// The runtime hot path at scale: a k=2 BMMB flood over a 1,000-node line

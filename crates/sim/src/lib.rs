@@ -11,7 +11,7 @@
 //!   preserve exactly);
 //! * [`EventQueue`] — a pending-event queue with stable FIFO ordering at
 //!   equal timestamps, so zero-delay step chains have a well-defined,
-//!   reproducible order, O(1) schedule and pop for events within 64 ticks
+//!   reproducible order, O(1) schedule and pop for events within 128 ticks
 //!   of the clock (per-tick buckets, an overflow heap beyond), plus O(1)
 //!   lazy cancellation (needed for the enhanced MAC layer's `abort`);
 //! * [`ShardedEventQueue`] — the same total order over K per-shard queues

@@ -10,17 +10,19 @@
 //! Simulated time is integer ticks, and nearly every event lands a few
 //! ticks ahead of the clock (at most `F_ack` for deliveries and acks, a
 //! round of a few ticks for protocol timers). The pending entries therefore
-//! live in a ring of per-tick FIFO buckets covering the next 64 ticks, with
-//! a binary heap only for times beyond the ring — a calendar queue (Brown,
-//! CACM 1988), see `queue/buckets.rs`. Schedule and pop are O(1) for
-//! in-ring times and O(log n) in the heap otherwise.
+//! live in a ring of per-tick FIFO buckets covering the next 128 ticks,
+//! with a binary heap for the times the ring does not cover — a calendar
+//! queue (Brown, CACM 1988), see `queue/buckets.rs`. Schedule and pop are
+//! O(1) for in-ring times; an entry outside the ring stays in the heap
+//! until it is popped, so it costs what it did in a plain binary heap.
 //!
-//! The pop order is exactly `(time, seq)`: within one tick the order in
-//! which entries are appended to a bucket *is* sequence order, because the
-//! sequence counter grows with every `schedule` call and entries move in
-//! from the overflow heap in `(time, seq)` order. The one exception — a
-//! sharded barrier merging an older sequence number into a bucket that
-//! already holds newer ones — takes an ordered insert instead of an append.
+//! The pop order is exactly `(time, seq)`: peek and pop take the smaller
+//! of the ring's front and the heap's head, and within one tick the order
+//! in which entries are appended to a bucket *is* sequence order, because
+//! the sequence counter grows with every `schedule` call. The one
+//! exception — a sharded barrier merging an older sequence number into a
+//! bucket that already holds newer ones — takes an ordered insert instead
+//! of an append.
 //!
 //! ## Cancellation: slot-generation ids
 //!

@@ -1,14 +1,18 @@
 //! The pending set behind [`EventQueue`](super::EventQueue): a ring of
-//! per-tick FIFO buckets with an overflow heap for times beyond the ring —
-//! a calendar queue (Brown, CACM 1988) whose "days" are single ticks.
+//! per-tick FIFO buckets with an overflow heap for the other times — a
+//! calendar queue (Brown, CACM 1988) whose "days" are single ticks.
 //!
 //! The ring covers the [`RING`] consecutive ticks `[base, base + RING)`;
-//! bucket `t mod RING` holds every entry at tick `t` in that range, in
-//! sequence order. Entries at or beyond `base + RING` wait in the overflow
-//! heap, ordered by `(time, seq)`. Finding the earliest entry is a rotate
-//! and a trailing-zero count on the occupancy word; popping it unlinks a
-//! list head. Whenever the base moves forward, the overflow entries the
-//! ring now covers move into their buckets in `(time, seq)` order.
+//! bucket `t mod RING` holds every ring entry at tick `t`, in sequence
+//! order. A push whose tick the ring does not cover — past its end, or
+//! below its base — goes to the overflow heap, ordered by `(time, seq)`,
+//! and stays there until it is popped. Peek and pop compare the ring's
+//! front with the heap's head by `(time, seq)`, so no entry ever moves
+//! between the two. Finding the ring's front is a rotate and a
+//! trailing-zero count on the occupancy word; popping it unlinks a list
+//! head. The base moves forward to the ring's front whenever that is
+//! looked up, and restarts at the popped tick when a pop from the heap
+//! finds the ring empty.
 //!
 //! Every bucket is a singly linked list threaded through **one** shared
 //! node slab with a free list, so the ring's storage is proportional to
@@ -20,10 +24,12 @@ use crate::time::Time;
 use std::collections::BinaryHeap;
 
 /// Ticks the ring covers: a power of two, one bit of the occupancy word
-/// per bucket. Twice the largest delay the MAC layer's standard
-/// configurations use (`F_ack = 32`), so nearly every event lands in the
-/// ring.
-pub(super) const RING: u64 = 64;
+/// per bucket. The largest delay of the default MAC configurations is
+/// `F_ack = 64` ticks, and the base stays at the clock while the ring is
+/// in use, so an ack at `now + 64` still lands in the ring. Larger delays
+/// (the FMMB crossover sweep's `F_ack` up to 16384) wait in the overflow
+/// heap, which costs what the plain binary heap did.
+pub(super) const RING: u64 = 128;
 const MASK: u64 = RING - 1;
 
 /// End-of-list and empty-free-list marker for node indices.
@@ -69,11 +75,11 @@ pub(super) struct TickBuckets<E> {
     /// First tick the ring covers.
     base: u64,
     /// Bit `b` is set iff bucket `b` is non-empty.
-    occupied: u64,
+    occupied: u128,
     /// Per bucket: first and last node. Boxed, so a queue stays a few
     /// words wide.
     buckets: Box<[Bucket; RING as usize]>,
-    /// Entries at or beyond `base + RING`.
+    /// Entries whose tick the ring did not cover when they were pushed.
     far: BinaryHeap<Entry<E>>,
 }
 
@@ -108,59 +114,61 @@ impl<E> TickBuckets<E> {
         if entry.at.ticks().wrapping_sub(self.base) < RING {
             self.link(entry);
         } else {
-            self.push_outside(entry);
-        }
-    }
-
-    /// Inserts an entry outside the ring: into the overflow heap, or into
-    /// the ring after lowering the base to a tick below it.
-    fn push_outside(&mut self, entry: Entry<E>) {
-        let t = entry.at.ticks();
-        if t < self.base {
-            self.lower_base(t);
-            self.link(entry);
-        } else {
             self.far.push(entry);
         }
     }
 
     /// The earliest entry's key, without removing it.
     pub(super) fn peek(&mut self) -> Option<Head> {
-        let (at, seq, slot, generation) = if self.occupied == 0 {
-            let e = self.far.peek()?;
-            (e.at, e.seq, e.slot, e.generation)
-        } else {
-            let b = self.front_bucket();
-            let n = &self.nodes[self.buckets[b].head as usize];
-            (n.at, n.seq, n.slot, n.generation)
-        };
-        Some(Head {
-            at,
-            seq,
-            slot,
-            generation,
-        })
+        let far = self.far.peek().map(|e| Head {
+            at: e.at,
+            seq: e.seq,
+            slot: e.slot,
+            generation: e.generation,
+        });
+        if self.occupied == 0 {
+            return far;
+        }
+        let b = self.front_bucket();
+        let n = &self.nodes[self.buckets[b].head as usize];
+        match far {
+            Some(f) if (f.at, f.seq) < (n.at, n.seq) => Some(f),
+            _ => Some(Head {
+                at: n.at,
+                seq: n.seq,
+                slot: n.slot,
+                generation: n.generation,
+            }),
+        }
     }
 
     /// Removes and returns the earliest entry.
     pub(super) fn pop(&mut self) -> Option<Entry<E>> {
         let entry = if self.occupied == 0 {
-            // The overflow heap's head is the earliest entry: take it
-            // directly and restart the ring at its tick.
+            // Every entry is in the overflow heap: take its head and
+            // restart the ring at its tick, where the clock now is.
             let entry = self.far.pop()?;
             self.base = entry.at.ticks();
-            self.refill();
             entry
         } else {
             let b = self.front_bucket();
             let i = self.buckets[b].head;
-            let next = self.nodes[i as usize].next;
-            if next == NIL {
-                self.occupied &= !(1 << b);
+            let n = &self.nodes[i as usize];
+            if self
+                .far
+                .peek()
+                .is_some_and(|f| (f.at, f.seq) < (n.at, n.seq))
+            {
+                self.far.pop().expect("peeked entry exists")
             } else {
-                self.buckets[b].head = next;
+                let next = n.next;
+                if next == NIL {
+                    self.occupied &= !(1 << b);
+                } else {
+                    self.buckets[b].head = next;
+                }
+                self.release(i)
             }
-            self.release(i)
         };
         self.len -= 1;
         Some(entry)
@@ -286,62 +294,14 @@ impl<E> TickBuckets<E> {
     }
 
     /// The bucket holding the ring's earliest entry, after moving the
-    /// base up to that entry's tick (and refilling the ring from the
-    /// overflow heap). The ring must not be empty; when it is, the
-    /// overflow heap's head is the earliest entry.
+    /// base up to that entry's tick. The ring must not be empty.
     fn front_bucket(&mut self) -> usize {
         let skip = self
             .occupied
             .rotate_right((self.base & MASK) as u32)
             .trailing_zeros();
-        if skip > 0 {
-            self.base += u64::from(skip);
-            self.refill();
-        }
+        self.base += u64::from(skip);
         (self.base & MASK) as usize
-    }
-
-    /// Moves the overflow entries the ring now covers into their buckets.
-    /// The heap yields them in `(time, seq)` order and their buckets were
-    /// empty (their ticks were below the old ring's end), so each lands as
-    /// a bucket append.
-    fn refill(&mut self) {
-        while self
-            .far
-            .peek()
-            .is_some_and(|e| e.at.ticks() - self.base < RING)
-        {
-            let entry = self.far.pop().expect("peeked entry exists");
-            self.link(entry);
-        }
-    }
-
-    /// Lowers the base to `to` for a push below it, moving every bucket
-    /// whose tick the lowered ring no longer covers into the overflow heap.
-    /// A push lands below the base only after a peek moved the base past
-    /// the clock: a caller may schedule at `now` after peeking, and a
-    /// sharded coordinator peeks every shard and may then route a
-    /// cross-shard event to a tick earlier than a shard's earliest entry.
-    #[cold]
-    fn lower_base(&mut self, to: u64) {
-        let end = to.saturating_add(RING);
-        let mut bits = self.occupied;
-        while bits != 0 {
-            let b = u64::from(bits.trailing_zeros());
-            bits &= bits - 1;
-            let tick = self.base + (b.wrapping_sub(self.base) & MASK);
-            if tick >= end {
-                let mut i = self.buckets[b as usize].head;
-                while i != NIL {
-                    let next = self.nodes[i as usize].next;
-                    let entry = self.release(i);
-                    self.far.push(entry);
-                    i = next;
-                }
-                self.occupied &= !(1 << b);
-            }
-        }
-        self.base = to;
     }
 
     /// Allocated node capacity (tests only: the memory bound).
@@ -354,5 +314,11 @@ impl<E> TickBuckets<E> {
     #[cfg(test)]
     pub(super) fn base(&self) -> u64 {
         self.base
+    }
+
+    /// Entries waiting in the overflow heap (tests only).
+    #[cfg(test)]
+    pub(super) fn far_len(&self) -> usize {
+        self.far.len()
     }
 }

@@ -154,9 +154,8 @@ proptest! {
 }
 
 /// The coordinator's settle peeks shard 1, moving its base to tick 30; a
-/// cross-shard event at tick 5 then lowers that base, and the bucket the
-/// lowered ring no longer covers (tick 80) moves to the overflow heap and
-/// back without losing its place.
+/// cross-shard event at tick 5 then lands below that base, waits in the
+/// overflow heap, and still pops before the ring's entries.
 #[test]
 fn cross_shard_push_below_a_peeked_base_keeps_the_order() {
     let mut q = ShardedEventQueue::new(2, Duration::from_ticks(40));
@@ -168,7 +167,8 @@ fn cross_shard_push_below_a_peeked_base_keeps_the_order() {
     // Cross-shard from shard 0, inside the window: pushed directly.
     q.schedule(1, Time::from_ticks(5), 'b');
     assert_eq!(q.stats().lookahead_misses, 1);
-    assert_eq!(q.shards[1].pending.base(), 5, "the push lowered the base");
+    assert_eq!(q.shards[1].pending.base(), 30, "the base stays put");
+    assert_eq!(q.shards[1].pending.far_len(), 1, "tick 5 waits in the heap");
     let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
     assert_eq!(order, vec!['b', 'c', 'd']);
 }
@@ -186,6 +186,20 @@ fn schedule_at_now_after_a_peek_keeps_the_order() {
     q.schedule(q.now(), 2);
     let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
     assert_eq!(order, vec![2, 3, 4]);
+}
+
+/// Once the ring empties, a pop from the overflow heap restarts the ring
+/// at the clock, so the events scheduled after a long jump land in the
+/// ring again instead of all going through the heap.
+#[test]
+fn a_pop_from_the_heap_restarts_an_empty_ring_at_the_clock() {
+    let mut q = EventQueue::new();
+    q.schedule(Time::from_ticks(1000), 0);
+    assert_eq!(q.pending.far_len(), 1, "tick 1000 is past the ring");
+    assert_eq!(q.pop(), Some((Time::from_ticks(1000), 0)));
+    q.schedule_after(Duration::from_ticks(RING - 1), 1);
+    assert_eq!(q.pending.far_len(), 0, "the ring restarted at tick 1000");
+    assert_eq!(q.pop(), Some((Time::from_ticks(1000 + RING - 1), 1)));
 }
 
 /// The memory regression per-bucket storage would bring back: a burst
