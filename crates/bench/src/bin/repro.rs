@@ -94,6 +94,7 @@
 
 use amac_bench::engine::{default_jobs, TrialRunner};
 use amac_bench::experiments::{self, ExperimentSpec, LabeledOutlier};
+use amac_core::RunOptions;
 use amac_mac::trace::TraceKind;
 use amac_mac::{CounterObserver, TraceObserver};
 use amac_store::{replay_into, replay_validate, TraceReader};
@@ -322,16 +323,17 @@ fn main() {
     };
 
     if record_dir.is_some() || metrics_dir.is_some() || chrome_trace.is_some() {
-        record_canonical(
-            &specs,
+        let mut run = RunOptions::default()
+            .with_shards(shards)
+            .with_shard_threads(shard_threads);
+        run.metrics = metrics_dir.is_some();
+        run.chrome_trace = chrome_trace;
+        let opts = amac_bench::CanonicalOpts {
             smoke,
-            shards,
-            shard_threads,
-            record_dir.as_deref(),
-            metrics_dir.as_deref(),
-            chrome_trace.as_deref(),
-            json_dir.as_deref(),
-        );
+            record: record_dir,
+            run,
+        };
+        record_canonical(&specs, &opts, metrics_dir.as_deref(), json_dir.as_deref());
         return;
     }
 
@@ -473,22 +475,18 @@ fn write_named_json(dir: &Path, docs: &[(String, String)]) {
 /// reproduce; metrics land as `METRICS_<id>.json` under the metrics
 /// directory; the chrome trace is written by the harness as the run
 /// finishes.
-#[allow(clippy::too_many_arguments)]
 fn record_canonical(
     specs: &[&'static ExperimentSpec],
-    smoke: bool,
-    shards: usize,
-    shard_threads: usize,
-    record_dir: Option<&Path>,
+    opts: &amac_bench::CanonicalOpts,
     metrics_dir: Option<&Path>,
-    chrome_trace: Option<&Path>,
     json_dir: Option<&Path>,
 ) {
+    let chrome_trace = opts.run.chrome_trace.as_deref();
     if chrome_trace.is_some() && specs.len() != 1 {
         eprintln!("--chrome-trace needs exactly one experiment (later runs would overwrite it)");
         usage_exit()
     }
-    for dir in [record_dir, metrics_dir].into_iter().flatten() {
+    for dir in [opts.record.as_deref(), metrics_dir].into_iter().flatten() {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {e}", dir.display());
             std::process::exit(1);
@@ -498,15 +496,7 @@ fn record_canonical(
     let mut metrics_docs: Vec<(String, String)> = Vec::new();
     for spec in specs {
         let started = Instant::now();
-        let opts = amac_bench::CanonicalOpts {
-            smoke,
-            shards,
-            shard_threads,
-            record: record_dir.map(Path::to_path_buf),
-            metrics: metrics_dir.is_some(),
-            chrome_trace: chrome_trace.map(Path::to_path_buf),
-        };
-        let run = spec.canonical(&opts);
+        let run = spec.canonical(opts);
         if let Some(recorded) = &run.trace {
             println!("recorded {}", recorded.path.display());
             println!("{}", recorded.summary);
@@ -538,7 +528,7 @@ fn record_canonical(
     if let Some(out) = json_dir {
         write_named_json(out, &json_docs);
     }
-    if let Some(dir) = record_dir {
+    if let Some(dir) = &opts.record {
         eprintln!(
             "recorded {} canonical trace(s) to {}",
             specs.len(),

@@ -68,6 +68,7 @@
 //! assert!(run.point(0).trials() >= 4);
 //! ```
 
+use amac_core::RunOptions;
 use amac_mac::trace::Trace;
 use amac_mac::ValidationReport;
 use amac_sim::stats::Aggregate;
@@ -117,6 +118,7 @@ pub struct CellCtx {
     /// point)` pair so sibling points of one trial can run concurrently.
     pub rng: SimRng,
     capture: bool,
+    options: RunOptions,
 }
 
 impl CellCtx {
@@ -125,6 +127,16 @@ impl CellCtx {
     /// enabled and attach the result via [`CellResult::with_capture`].
     pub fn capture_requested(&self) -> bool {
         self.capture
+    }
+
+    /// The cell's base run options: the fast unvalidated path with the
+    /// runner's shards and effective shard threads, or the
+    /// trace-capturing path (trace kept, validation on) when
+    /// [`capture_requested`](Self::capture_requested). Experiments adjust
+    /// the result (e.g. `stopping_on_completion`) and pass it to their
+    /// harness; none of these settings changes a measured value.
+    pub fn options(&self) -> RunOptions {
+        self.options.clone()
     }
 
     /// The owning trial's derived seed (see [`TrialCtx::seed`]).
@@ -490,10 +502,9 @@ impl TrialRunner {
 
     /// Sets the *requested* per-trial shard worker-thread count (0 = the
     /// fused single-core drain). Like `--shards`, threading never changes
-    /// a measured value or a delivered byte, so the effective count may be
-    /// capped (see
-    /// [`effective_shard_threads`](Self::effective_shard_threads)) without
-    /// perturbing any output.
+    /// a measured value or a delivered byte, so the count each cell's
+    /// [`CellCtx::options`] carries may be capped against `--jobs`
+    /// oversubscription without perturbing any output.
     pub fn with_shard_threads(mut self, threads: usize) -> TrialRunner {
         self.shard_threads = threads;
         self
@@ -504,7 +515,7 @@ impl TrialRunner {
         self.shard_threads
     }
 
-    /// The shard worker-thread count each trial actually runs with.
+    /// The shard worker-thread count each cell actually runs with.
     ///
     /// **Oversubscription policy:** the engine already fans `--jobs`
     /// workers out over the cores, and every one of those workers would
@@ -515,7 +526,7 @@ impl TrialRunner {
     /// single-core equivalent (1 thread), and shard threads only unfold
     /// when jobs leave cores idle (e.g. `--jobs 1`, the `scale` default).
     /// Capping is output-invariant: thread count never changes bytes.
-    pub fn effective_shard_threads(&self) -> usize {
+    fn effective_shard_threads(&self) -> usize {
         if self.shards == 0 || self.shard_threads == 0 {
             return 0;
         }
@@ -558,14 +569,23 @@ impl TrialRunner {
             index: t as u64,
             rng: base.split(t as u64),
         };
+        let options = RunOptions::fast()
+            .with_shards(self.shards)
+            .with_shard_threads(self.effective_shard_threads());
         let cell_ctx = |t: usize, p: usize, capture: bool| {
             let trial = trial_ctx(t);
             let rng = trial.rng.split(CELL_STREAM_SALT ^ p as u64);
+            let options = if capture {
+                options.clone().capturing_trace()
+            } else {
+                options.clone()
+            };
             CellCtx {
                 trial,
                 point: p,
                 rng,
                 capture,
+                options,
             }
         };
 

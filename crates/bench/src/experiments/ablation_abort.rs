@@ -75,8 +75,6 @@ pub fn run(
 ) -> AblationAbort {
     // Points: 2i = with abort @ f_acks[i], 2i+1 = without abort.
     let widths = vec![1usize; 2 * f_acks.len()];
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         seed,
         &widths,
@@ -114,8 +112,7 @@ pub fn run(
                 &params,
                 setup.trial_seed ^ 0xAB,
                 LazyPolicy::new(),
-                &super::cell_options(cell.capture_requested(), shards, shard_threads)
-                    .stopping_on_completion(),
+                &cell.options().stopping_on_completion(),
             );
             CellResult::scalar(report.completion_ticks() as f64)
                 .with_capture(super::fmmb_capture(&report))

@@ -111,8 +111,6 @@ pub fn run(
     // Three lanes per point: decision time, the per-trial violation
     // count, and the MAC broadcast count.
     let widths = vec![3usize; fractions.len() + ns.len()];
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         seed,
         &widths,
@@ -130,7 +128,7 @@ pub fn run(
                 &params,
                 faults,
                 LazyPolicy::new().prefer_duplicates(),
-                &super::cell_options(cell.capture_requested(), shards, shard_threads),
+                &cell.options(),
             );
             let ticks = super::ticks_or_end(report.completion, report.end_time) as f64;
             let violations = report.violation_count() as f64;

@@ -83,8 +83,6 @@ pub fn run(
     let config = MacConfig::from_ticks(f_prog, f_ack).enhanced();
     // Four lanes: convergence, claimants, violations, per-trial bound.
     let widths = vec![4usize; ns.len()];
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         seed,
         &widths,
@@ -114,7 +112,7 @@ pub fn run(
                 rng.next(),
                 FaultPlan::new(),
                 LazyPolicy::new(),
-                &super::cell_options(cell.capture_requested(), shards, shard_threads),
+                &cell.options(),
             );
             let d = net.dual.diameter() as u64;
             let bound = window + 2 * (d + 1) * (f_prog + 1);

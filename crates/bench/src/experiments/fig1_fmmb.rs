@@ -98,8 +98,6 @@ pub fn run(
         .take(2 * f_acks.len())
         .chain(std::iter::repeat(2).take(ns.len()))
         .collect();
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         seed,
         &widths,
@@ -144,8 +142,7 @@ pub fn run(
             }
         },
         |setup, cell| {
-            let options = super::cell_options(cell.capture_requested(), shards, shard_threads)
-                .stopping_on_completion();
+            let options = cell.options().stopping_on_completion();
             if cell.point < 2 * f_acks.len() {
                 let f_ack = f_acks[cell.point / 2];
                 let cfg = MacConfig::from_ticks(f_prog, f_ack);

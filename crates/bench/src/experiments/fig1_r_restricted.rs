@@ -73,8 +73,6 @@ pub fn run(
     runner: &TrialRunner,
 ) -> Fig1RRestricted {
     let widths = vec![1usize; rs.len()];
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         seed,
         &widths,
@@ -87,7 +85,7 @@ pub fn run(
                 rs[cell.point],
                 edge_probability,
                 cell.seed(seed),
-                &super::cell_options(cell.capture_requested(), shards, shard_threads),
+                &cell.options(),
             );
             CellResult::scalar(report.completion_ticks() as f64)
                 .with_capture(super::mmb_capture(&report))

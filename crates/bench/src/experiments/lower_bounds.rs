@@ -61,14 +61,12 @@ pub fn run(config: MacConfig, ks: &[usize], ds: &[usize], runner: &TrialRunner) 
         *runner
     };
     let widths = vec![1usize; ks.len() + ds.len()];
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         0,
         &widths,
         |_trial| (),
         |_, cell| {
-            let options = super::cell_options(cell.capture_requested(), shards, shard_threads);
+            let options = cell.options();
             let report = if cell.point < ks.len() {
                 run_choke_star(ks[cell.point], config, &options)
             } else {

@@ -30,7 +30,7 @@ pub mod subroutines;
 use crate::engine::TrialStats;
 use crate::engine::{CellCapture, OutlierTrace, SweepRun, TrialRunner};
 use crate::table::Table;
-use amac_core::{FmmbReport, MmbReport, RunOptions};
+use amac_core::{FmmbReport, MmbReport};
 use amac_sim::stats::Aggregate;
 use amac_sim::Time;
 
@@ -43,23 +43,6 @@ pub struct LabeledOutlier {
     pub label: String,
     /// The captured min/median/max trial: trace + validation verdict.
     pub outlier: OutlierTrace,
-}
-
-/// Run options for one sweep cell: the fast no-validation path normally,
-/// the trace-capturing path when the engine is replaying an outlier.
-/// `shards` comes from the runner (`--shards K`): every cell of every
-/// experiment runs the sharded event queue, so per-shard diagnostics are
-/// available suite-wide, not just for `scale`. `threads` is the runner's
-/// *effective* shard worker-thread count
-/// ([`TrialRunner::effective_shard_threads`]) — already capped against
-/// `--jobs` oversubscription, and output-invariant either way.
-pub(crate) fn cell_options(capture: bool, shards: usize, threads: usize) -> RunOptions {
-    let options = if capture {
-        RunOptions::fast().capturing_trace()
-    } else {
-        RunOptions::fast()
-    };
-    options.with_shards(shards).with_shard_threads(threads)
 }
 
 /// Appends the sweep's merged sharded-queue diagnostics as a table note —

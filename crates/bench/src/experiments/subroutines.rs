@@ -12,10 +12,13 @@
 use super::LabeledOutlier;
 use crate::engine::{CellCapture, CellResult, TrialRunner, TrialStats};
 use crate::table::{ci_cell, mean_cell, Table};
-use amac_core::{Assignment, Delivered, Fmmb, FmmbParams, MessageId, MisStatus};
+use amac_core::{
+    Assignment, Delivered, Fmmb, FmmbParams, Instrumentation, Instruments, MessageId, MisStatus,
+    RunOptions,
+};
 use amac_graph::generators::{connected_grey_zone_network, GreyZoneConfig, GreyZoneNetwork};
 use amac_graph::{algo, DualGraph, NodeId, NodeSet};
-use amac_mac::{validate, MacConfig, Policy, Runtime};
+use amac_mac::{MacConfig, Policy};
 use amac_sim::{SimRng, Time};
 use std::collections::HashSet;
 
@@ -57,14 +60,17 @@ pub fn run_instrumented<P: Policy>(
     seed: u64,
     policy: P,
 ) -> Milestones {
-    run_instrumented_traced(dual, config, assignment, params, seed, policy, 0, 0, false).milestones
+    let options = RunOptions::fast();
+    run_instrumented_traced(dual, config, assignment, params, seed, policy, &options).milestones
 }
 
-/// Runs FMMB while checking node-state milestones once per round; with
-/// `capture` set, also records the MAC trace and validates it post-hoc,
-/// and a non-zero `shards` runs the sharded event queue. Neither disturbs
-/// the execution, so the milestones are identical either way.
-#[allow(clippy::too_many_arguments)]
+/// Runs FMMB while checking node-state milestones once per round, on the
+/// runtime and with the instruments `options` select: with
+/// [`RunOptions::keep_trace`] set the run comes back with its MAC trace
+/// and validator verdict, and a non-zero [`RunOptions::shards`] runs the
+/// sharded event queue. Neither disturbs the execution, so the milestones
+/// are identical either way. The loop stops on its own milestones, so
+/// `stop_on_completion` and `horizon` are ignored.
 pub fn run_instrumented_traced<P: Policy>(
     dual: &DualGraph,
     config: MacConfig,
@@ -72,9 +78,7 @@ pub fn run_instrumented_traced<P: Policy>(
     params: &FmmbParams,
     seed: u64,
     policy: P,
-    shards: usize,
-    shard_threads: usize,
-    capture: bool,
+    options: &RunOptions,
 ) -> InstrumentedRun {
     assert!(config.is_enhanced(), "FMMB requires the enhanced model");
     let n = dual.len();
@@ -90,16 +94,8 @@ pub fn run_instrumented_traced<P: Policy>(
             )
         })
         .collect();
-    let mut rt = Runtime::new(dual.clone(), config, nodes, policy);
-    if shards > 0 {
-        rt = rt.with_shards(shards);
-        if shard_threads > 0 {
-            rt = rt.with_shard_threads(shard_threads);
-        }
-    }
-    if capture {
-        rt = rt.tracing();
-    }
+    let mut rt = options.runtime(dual, config, nodes, policy);
+    let instruments = Instruments::attach(options, &mut rt, None);
     for (node, msg) in assignment.arrivals() {
         rt.inject(*node, *msg);
     }
@@ -157,14 +153,16 @@ pub fn run_instrumented_traced<P: Policy>(
         }
     }
     milestones.mis_valid = algo::is_maximal_independent(dual.g(), &mis);
-    let capture = rt.trace().map(|trace| CellCapture {
-        validation: Some(validate(trace, dual, rt.config(), quiescent)),
-        trace: trace.clone(),
-    });
+    let Instrumentation {
+        validation,
+        trace,
+        shard_stats,
+        ..
+    } = instruments.finish(&mut rt, quiescent);
     InstrumentedRun {
         milestones,
-        capture,
-        shard_stats: rt.shard_stats(),
+        capture: trace.map(|trace| CellCapture { trace, validation }),
+        shard_stats,
     }
 }
 
@@ -239,8 +237,6 @@ pub fn run(
         .chain(std::iter::repeat(1).take(ks.len()))
         .chain(std::iter::repeat(3).take(ns.len()))
         .collect();
-    let shards = runner.shards();
-    let shard_threads = runner.effective_shard_threads();
     let run = runner.run_sweep(
         1234,
         &widths,
@@ -314,7 +310,10 @@ pub fn run(
                 // single execution produces the recorded value; the capture
                 // is the first seed's run — a *representative* execution of
                 // this point's trial, unlike the other sweeps where the
-                // trace is exactly the run behind the statistic.
+                // trace is exactly the run behind the statistic. Every seed
+                // runs with the cell's options; later seeds' captures are
+                // dropped.
+                let options = cell.options();
                 let mut capture = None;
                 let mut shard_stats: Option<amac_sim::ShardStats> = None;
                 for (si, &seed) in seeds.iter().enumerate() {
@@ -325,9 +324,7 @@ pub fn run(
                         params,
                         seed ^ setup.salt,
                         amac_mac::policies::LazyPolicy::new(),
-                        shards,
-                        shard_threads,
-                        cell.capture_requested() && si == 0,
+                        &options,
                     );
                     let m = traced.milestones;
                     if si == 0 {
@@ -358,9 +355,7 @@ pub fn run(
                     params,
                     seeds[0] ^ setup.salt,
                     amac_mac::policies::LazyPolicy::new(),
-                    shards,
-                    shard_threads,
-                    cell.capture_requested(),
+                    &cell.options(),
                 );
                 let m = traced.milestones;
                 // Unreached milestone: record NaN, not a huge finite
@@ -385,9 +380,7 @@ pub fn run(
                     params,
                     seeds[0] ^ setup.salt,
                     amac_mac::policies::LazyPolicy::new(),
-                    shards,
-                    shard_threads,
-                    cell.capture_requested(),
+                    &cell.options(),
                 );
                 let m = traced.milestones;
                 // NaN on an unreached milestone, as in the gather sweep.

@@ -46,25 +46,22 @@ pub struct RecordedTrace {
 
 /// What a canonical execution is asked to produce: a recorded trace, a
 /// deterministic metrics report, a Chrome trace-event export, or any
-/// combination. `smoke` picks the small parameterisation and `shards` the
-/// sharded event queue — neither changes the deterministic outputs (see
+/// combination. `smoke` picks the small parameterisation and `run` the
+/// base [`RunOptions`] every canonical run starts from — its execution
+/// mode (`shards`, `shard_threads`) and its instruments (`metrics`,
+/// `chrome_trace`). None of these changes the deterministic outputs (see
 /// `tests/shard_equivalence.rs` and `tests/determinism.rs`).
 #[derive(Clone, Debug, Default)]
 pub struct CanonicalOpts {
     /// Small (seconds-scale) parameterisation.
     pub smoke: bool,
-    /// Event-queue shards: `0` runs the sequential runtime.
-    pub shards: usize,
-    /// Shard worker threads: `0` keeps the fused single-core drain.
-    /// Ignored when `shards == 0`; never changes the recorded bytes.
-    pub shard_threads: usize,
     /// Directory receiving `<id>.amactrace`, when recording.
     pub record: Option<PathBuf>,
-    /// Collect a deterministic sim-time
-    /// [`MetricsReport`](amac_obs::MetricsReport).
-    pub metrics: bool,
-    /// Export the span timeline as Chrome trace-event JSON to this file.
-    pub chrome_trace: Option<PathBuf>,
+    /// Base run options. Validation stays on (the default), so a
+    /// recording's live summary carries the validator's verdict; the
+    /// canonical run adds the recording path and seed and any
+    /// experiment-specific settings.
+    pub run: RunOptions,
 }
 
 impl CanonicalOpts {
@@ -77,10 +74,10 @@ impl CanonicalOpts {
     ) -> CanonicalOpts {
         CanonicalOpts {
             smoke,
-            shards,
-            shard_threads,
             record: Some(dir.as_ref().to_path_buf()),
-            ..CanonicalOpts::default()
+            run: RunOptions::default()
+                .with_shards(shards)
+                .with_shard_threads(shard_threads),
         }
     }
 
@@ -91,18 +88,10 @@ impl CanonicalOpts {
             .record
             .as_deref()
             .map(|dir| dir.join(format!("{id}.amactrace")));
-        let mut options = RunOptions::default()
-            .with_shards(self.shards)
-            .with_shard_threads(self.shard_threads);
-        if let Some(path) = &path {
-            options = options.recording(path, seed);
-        }
-        if self.metrics {
-            options = options.with_metrics();
-        }
-        if let Some(trace) = &self.chrome_trace {
-            options = options.with_chrome_trace(trace);
-        }
+        let options = match &path {
+            Some(path) => self.run.clone().recording(path, seed),
+            None => self.run.clone(),
+        };
         (path, options)
     }
 
@@ -129,8 +118,8 @@ pub struct CanonicalRun {
     /// The recorded trace and its live summary, when
     /// [`CanonicalOpts::record`] was set.
     pub trace: Option<RecordedTrace>,
-    /// The deterministic metrics report, when [`CanonicalOpts::metrics`]
-    /// was set.
+    /// The deterministic metrics report, when the base options asked for
+    /// [`RunOptions::metrics`].
     pub metrics: Option<amac_obs::MetricsReport>,
 }
 
@@ -272,9 +261,10 @@ pub fn fig1_fmmb(opts: &CanonicalOpts) -> CanonicalRun {
     )
 }
 
-/// `SUB-*`: the subroutine experiment's instrumented runner takes no
-/// [`RunOptions`], so the canonical trace is the underlying FMMB execution
-/// the milestones are carved from — same dual, same schedule.
+/// `SUB-*`: the underlying FMMB execution the subroutine milestones are
+/// carved from — same dual, same schedule. It runs through `run_fmmb`,
+/// which stops at the completing event rather than at the instrumented
+/// runner's next round boundary.
 pub fn subroutines(opts: &CanonicalOpts) -> CanonicalRun {
     let (n, k) = if opts.smoke { (24, 3) } else { (64, 6) };
     let seed = 0x50_B5;
@@ -412,9 +402,17 @@ mod tests {
 
     #[test]
     fn every_registry_experiment_records_and_replays_identically() {
+        // Metrics ride along, so every harness family is asked for both
+        // instruments at once through the shared path.
         let dir = temp_dir("all");
+        let opts = CanonicalOpts {
+            smoke: true,
+            record: Some(dir),
+            run: RunOptions::default().with_metrics(),
+        };
         for spec in crate::experiments::registry() {
-            let recorded = spec.record(&dir, true, 0, 0);
+            let run = spec.canonical(&opts);
+            let recorded = run.trace.expect("recording was requested");
             let replayed = replay_validate(TraceReader::open(&recorded.path).unwrap())
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.id));
             assert_eq!(
@@ -423,6 +421,10 @@ mod tests {
                 "{}: live and replayed summaries must match byte-for-byte",
                 spec.id
             );
+            let metrics = run
+                .metrics
+                .unwrap_or_else(|| panic!("{}: metrics were requested", spec.id));
+            assert!(metrics.bcasts > 0, "{}: no broadcasts counted", spec.id);
             std::fs::remove_file(&recorded.path).ok();
         }
     }
@@ -442,8 +444,8 @@ mod tests {
     fn canonical_run_serves_metrics_without_recording() {
         let run = fig1_gg(&CanonicalOpts {
             smoke: true,
-            metrics: true,
-            ..CanonicalOpts::default()
+            record: None,
+            run: RunOptions::default().with_metrics(),
         });
         assert!(run.trace.is_none(), "no recording was requested");
         let metrics = run.metrics.expect("metrics were requested");

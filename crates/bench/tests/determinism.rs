@@ -280,13 +280,15 @@ fn canonical_obs(
     trace: Option<std::path::PathBuf>,
 ) -> amac_bench::CanonicalRun {
     let spec = experiments::find(id).expect("registry id");
+    let mut run = amac_core::RunOptions::default()
+        .with_shards(shards)
+        .with_shard_threads(shard_threads)
+        .with_metrics();
+    run.chrome_trace = trace;
     spec.canonical(&amac_bench::CanonicalOpts {
         smoke: true,
-        shards,
-        shard_threads,
-        metrics: true,
-        chrome_trace: trace,
-        ..amac_bench::CanonicalOpts::default()
+        record: None,
+        run,
     })
 }
 

@@ -3,28 +3,28 @@
 //! metrics.
 
 use crate::bmmb::Bmmb;
+use crate::instruments::{Instrumentation, Instruments};
 use crate::mmb::{Assignment, CompletionTracker, Delivered};
 use amac_graph::{DualGraph, NodeId};
 use amac_mac::trace::Trace;
-use amac_mac::{
-    Automaton, MacConfig, OnlineStats, OnlineValidator, Policy, RunOutcome, Runtime, TraceObserver,
-    ValidationReport,
-};
+use amac_mac::{Automaton, MacConfig, OnlineStats, Policy, RunOutcome, ValidationReport};
 use amac_sim::stats::Counters;
 use amac_sim::Time;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Options controlling a harness run.
+/// Options controlling a harness run. Every harness applies them the
+/// same way: [`RunOptions::runtime`] picks the execution mode and
+/// [`Instruments`](crate::Instruments) attaches the requested observers.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Check the execution against the MAC model by attaching a streaming
-    /// [`OnlineValidator`] — O(in-flight) memory, no trace retention, so
-    /// it is cheap enough to leave on for large sweeps.
+    /// [`amac_mac::OnlineValidator`] — O(in-flight) memory, no trace
+    /// retention, so it is cheap enough to leave on for large sweeps.
     pub validate: bool,
-    /// Attach a [`TraceObserver`] and return the recorded [`Trace`] in the
-    /// report (for post-mortem inspection of outlier executions). This is
-    /// the only option that retains O(events) state.
+    /// Attach a [`amac_mac::TraceObserver`] and return the recorded
+    /// [`Trace`] in the report (for post-mortem inspection of outlier
+    /// executions). This is the only option that retains O(events) state.
     pub keep_trace: bool,
     /// Stop as soon as the MMB problem is solved (all required deliveries
     /// happened) instead of running the algorithm to quiescence.
@@ -32,26 +32,24 @@ pub struct RunOptions {
     /// Hard time horizon; the run stops when the next event would exceed
     /// it.
     pub horizon: Time,
-    /// Record the execution to this trace file by attaching a streaming
-    /// [`amac_store::StoreObserver`] — O(1) memory, every MAC event and
-    /// fault goes to disk in emission order, replayable with
-    /// `repro replay` (see `docs/TRACE_FORMAT.md`).
-    pub record: Option<PathBuf>,
-    /// Seed stamped into a recorded trace's header (purely metadata: it
-    /// identifies which seeded execution the file holds). Ignored without
-    /// [`record`](RunOptions::record).
-    pub record_seed: u64,
+    /// Record the execution to this trace file, stamping this seed into
+    /// its header, by attaching a streaming [`amac_store::StoreObserver`]
+    /// — O(1) memory, every MAC event and fault goes to disk in emission
+    /// order, replayable with `repro replay` (see `docs/TRACE_FORMAT.md`).
+    /// The seed is metadata only: it names the seeded execution the file
+    /// holds.
+    pub record: Option<(PathBuf, u64)>,
     /// Number of event-queue shards: `0` (the default) runs the classic
     /// sequential runtime; `k ≥ 1` runs the sharded runtime
-    /// ([`Runtime::with_shards`]) with `k` conservative time-windowed
-    /// shards. The execution is byte-identical either way — sharding
-    /// changes how events are queued, never what happens.
+    /// ([`amac_mac::Runtime::with_shards`]) with `k` conservative
+    /// time-windowed shards. The execution is byte-identical either way —
+    /// sharding changes how events are queued, never what happens.
     pub shards: usize,
     /// Worker threads for the sharded queue's window barrier
-    /// ([`Runtime::with_shard_threads`]): `0` (the default) keeps the
-    /// fused single-core drain; `t ≥ 1` integrates and extracts the K
-    /// shards' windows on up to `t` scoped threads (clamped to the shard
-    /// count) with adaptive window widths. Like
+    /// ([`amac_mac::Runtime::with_shard_threads`]): `0` (the default)
+    /// keeps the fused single-core drain; `t ≥ 1` integrates and extracts
+    /// the K shards' windows on up to `t` scoped threads (clamped to the
+    /// shard count) with adaptive window widths. Like
     /// [`shards`](RunOptions::shards), this never changes a delivered
     /// byte — byte-identity holds for every `(shards, shard_threads)`.
     /// Ignored when `shards == 0`.
@@ -77,7 +75,6 @@ impl Default for RunOptions {
             stop_on_completion: false,
             horizon: Time::MAX,
             record: None,
-            record_seed: 0,
             shards: 0,
             shard_threads: 0,
             metrics: false,
@@ -120,8 +117,7 @@ impl RunOptions {
     /// Records the execution to the trace file at `path`, stamping `seed`
     /// into its header (see [`RunOptions::record`]).
     pub fn recording(mut self, path: impl AsRef<Path>, seed: u64) -> RunOptions {
-        self.record = Some(path.as_ref().to_path_buf());
-        self.record_seed = seed;
+        self.record = Some((path.as_ref().to_path_buf(), seed));
         self
     }
 
@@ -153,89 +149,6 @@ impl RunOptions {
     pub fn with_chrome_trace(mut self, path: impl AsRef<Path>) -> RunOptions {
         self.chrome_trace = Some(path.as_ref().to_path_buf());
         self
-    }
-}
-
-/// Attaches a [`StoreObserver`](amac_store::StoreObserver) per
-/// `options.record` to a freshly built runtime; shared by every harness
-/// (MMB here, FMMB, and the `amac-proto` services).
-///
-/// # Panics
-///
-/// Panics when the trace file cannot be created — recording was
-/// explicitly requested, so a silently-skipped recording would be worse
-/// than stopping.
-#[doc(hidden)]
-pub fn attach_recorder(
-    options: &RunOptions,
-    dual: &amac_graph::DualGraph,
-    config: MacConfig,
-    faults: Option<&amac_mac::FaultPlan>,
-) -> Option<amac_store::StoreObserver> {
-    options.record.as_deref().map(|path| {
-        amac_store::StoreObserver::create(path, dual, config, options.record_seed, faults)
-            .unwrap_or_else(|e| panic!("cannot record trace to {}: {e}", path.display()))
-    })
-}
-
-/// Finalizes a recording detached from the runtime (writes the End
-/// record, flushes).
-///
-/// # Panics
-///
-/// Panics when the file cannot be sealed — an unfinished recording is an
-/// unreadable file.
-#[doc(hidden)]
-pub fn finish_recorder(store: amac_store::StoreObserver, quiescent: bool) {
-    if let Err(e) = store.finish(quiescent) {
-        panic!("cannot finalize trace recording: {e}");
-    }
-}
-
-/// Builds a [`MetricsObserver`](amac_obs::MetricsObserver) per
-/// `options.metrics`; shared by every harness.
-#[doc(hidden)]
-pub fn make_metrics(options: &RunOptions, config: MacConfig) -> Option<amac_obs::MetricsObserver> {
-    options
-        .metrics
-        .then(|| amac_obs::MetricsObserver::new(config))
-}
-
-/// Builds a [`SpanObserver`](amac_obs::SpanObserver) per
-/// `options.chrome_trace`. On sharded runs the observer gets the same
-/// contiguous node partition [`Runtime::with_shards`] uses, so spans
-/// render one Perfetto track per shard.
-#[doc(hidden)]
-pub fn make_spans(
-    options: &RunOptions,
-    dual: &amac_graph::DualGraph,
-) -> Option<amac_obs::SpanObserver> {
-    options.chrome_trace.as_ref().map(|_| {
-        let mut spans = amac_obs::SpanObserver::new();
-        if options.shards > 0 {
-            let k = options.shards.min(amac_sim::MAX_SHARDS);
-            let part = amac_graph::partition::contiguous(dual, k);
-            let tracks = (0..dual.len())
-                .map(|i| part.shard_of(NodeId::new(i)) as u32)
-                .collect();
-            spans = spans.with_tracks(tracks);
-        }
-        spans
-    })
-}
-
-/// Writes a detached [`SpanObserver`](amac_obs::SpanObserver)'s Chrome
-/// trace-event export to the file requested by
-/// [`RunOptions::chrome_trace`].
-///
-/// # Panics
-///
-/// Panics when the file cannot be written — the export was explicitly
-/// requested.
-#[doc(hidden)]
-pub fn finish_spans(spans: &amac_obs::SpanObserver, path: &Path) {
-    if let Err(e) = std::fs::write(path, spans.to_chrome_json()) {
-        panic!("cannot write chrome trace to {}: {e}", path.display());
     }
 }
 
@@ -326,23 +239,8 @@ where
 {
     let mut make_node = make_node;
     let nodes = (0..dual.len()).map(|i| make_node(NodeId::new(i))).collect();
-    let mut rt = Runtime::new(dual.clone(), config, nodes, policy);
-    if options.shards > 0 {
-        rt = rt.with_shards(options.shards);
-        if options.shard_threads > 0 {
-            rt = rt.with_shard_threads(options.shard_threads);
-        }
-    }
-    let validator = options
-        .validate
-        .then(|| rt.attach(OnlineValidator::new(dual.clone(), config)));
-    let tracer = options.keep_trace.then(|| rt.attach(TraceObserver::new()));
-    let recorder = attach_recorder(options, dual, config, None).map(|store| rt.attach(store));
-    let metrics = make_metrics(options, config).map(|m| rt.attach(m));
-    let spans = make_spans(options, dual).map(|s| rt.attach(s));
-    if options.metrics {
-        rt.enable_shard_profiling();
-    }
+    let mut rt = options.runtime(dual, config, nodes, policy);
+    let instruments = Instruments::attach(options, &mut rt, None);
     for (node, msg) in assignment.arrivals() {
         rt.inject(*node, *msg);
     }
@@ -364,25 +262,13 @@ where
         }
     };
 
-    let mut validator_stats = None;
-    let validation = validator.map(|handle| {
-        let validator = rt.detach(handle);
-        validator_stats = Some(validator.stats());
-        validator.into_report(outcome == RunOutcome::Idle)
-    });
-    let trace = tracer.map(|handle| rt.detach(handle).into_trace());
-    if let Some(handle) = recorder {
-        finish_recorder(rt.detach(handle), outcome == RunOutcome::Idle);
-    }
-    let metrics = metrics.map(|handle| {
-        rt.detach(handle)
-            .into_report()
-            .with_shard_diagnostics(rt.shard_stats(), rt.shard_profile())
-    });
-    if let (Some(handle), Some(path)) = (spans, options.chrome_trace.as_deref()) {
-        finish_spans(&rt.detach(handle), path);
-    }
-
+    let Instrumentation {
+        validation,
+        validator_stats,
+        trace,
+        shard_stats,
+        metrics,
+    } = instruments.finish(&mut rt, outcome == RunOutcome::Idle);
     MmbReport {
         completion: tracker.completed_at(),
         end_time: rt.now(),
@@ -394,7 +280,7 @@ where
         validation,
         validator_stats,
         trace,
-        shard_stats: rt.shard_stats(),
+        shard_stats,
         metrics,
     }
 }

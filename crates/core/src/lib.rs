@@ -17,6 +17,9 @@
 //! * [`bounds`] — closed-form formulas for every Figure 1 cell.
 //! * [`run_bmmb`] / [`run_fmmb`] — one-call experiment harnesses with
 //!   model-conformance validation.
+//! * [`Instruments`] — the observer set every harness attaches per
+//!   [`RunOptions`] (validator, trace, recording, metrics, spans) and
+//!   seals into one [`Instrumentation`].
 //!
 //! ## Quick start
 //!
@@ -44,12 +47,11 @@ mod bmmb;
 pub mod bounds;
 mod fmmb;
 mod harness;
+mod instruments;
 mod mmb;
 
 pub use bmmb::Bmmb;
 pub use fmmb::{run_fmmb, Fmmb, FmmbPacket, FmmbParams, FmmbReport, MisStatus, Schedule, Segment};
-pub use harness::{
-    attach_recorder, finish_recorder, finish_spans, make_metrics, make_spans, run_bmmb, run_mmb,
-    MmbReport, RunOptions,
-};
+pub use harness::{run_bmmb, run_mmb, MmbReport, RunOptions};
+pub use instruments::{Instrumentation, Instruments};
 pub use mmb::{Assignment, CompletionTracker, Delivered, MessageId, MmbMessage};

@@ -449,6 +449,16 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
         }
     }
 
+    /// The shard `node`'s events run on, or `None` in sequential mode —
+    /// the partition [`with_shards`](Runtime::with_shards) chose, so
+    /// observers can group nodes by shard without recomputing it.
+    pub fn shard_of(&self, node: NodeId) -> Option<usize> {
+        match &self.queue {
+            Queue::Single(_) => None,
+            Queue::Sharded { part, .. } => Some(part.shard_of(node)),
+        }
+    }
+
     /// Per-shard execution statistics (barriers, outboxed cross-shard
     /// events, lookahead misses, peak pending, barrier slack), or `None`
     /// in sequential mode.
@@ -1546,6 +1556,20 @@ mod tests {
                 sh_trace.entries(),
                 "trace diverged at k = {k}"
             );
+        }
+    }
+
+    #[test]
+    fn shard_of_reports_the_runtime_partition() {
+        let dual = line_dual(20);
+        let cfg = MacConfig::from_ticks(3, 24);
+        let seq = Runtime::new(dual.clone(), cfg, flooders(20), EagerPolicy::new());
+        assert_eq!(seq.shard_of(NodeId::new(0)), None);
+        let part = amac_graph::partition::contiguous(&dual, 4);
+        let sh = Runtime::new(dual, cfg, flooders(20), EagerPolicy::new()).with_shards(4);
+        for i in 0..20 {
+            let node = NodeId::new(i);
+            assert_eq!(sh.shard_of(node), Some(part.shard_of(node)));
         }
     }
 

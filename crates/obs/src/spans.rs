@@ -7,8 +7,8 @@
 //! directly. Simulated ticks are mapped 1:1 onto trace microseconds.
 //!
 //! Tracks (`tid`) are shard indices when a shard map is supplied
-//! ([`SpanObserver::with_tracks`], built from the same contiguous
-//! partition the sharded runtime uses), so a sharded run renders as one
+//! ([`SpanObserver::with_tracks`], read from the sharded runtime's own
+//! partition via `Runtime::shard_of`), so a sharded run renders as one
 //! lane per shard; without a map everything lands on track 0. The `tid`
 //! is the **only** field that varies with `--shards` — the bench
 //! determinism suite byte-compares exports across the jobs × shards grid
