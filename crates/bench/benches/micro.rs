@@ -167,17 +167,14 @@ fn bench_runtime_hot_path(c: &mut Criterion) {
     });
 }
 
-/// The fused-vs-threaded sharded drain on the scale experiment's grid
-/// workload at a fixed small size: a k=2 BMMB flood over an n=4,096
-/// jittered-grid dual (`G′ = G`), run on 4 event-queue shards with the
-/// fused single-core coordinator and with the thread-per-shard drain
-/// (2 and 4 workers). The execution is byte-identical across all three
-/// (asserted via the event counter); only wall clock may differ. The
-/// ratio `flood_grid_sharded_fused / flood_grid_sharded_threads_t4` is
-/// the pin recorded in `BENCH_scale.json`'s headline note — regressions
-/// in the scoped-barrier path show up here first, at a size small enough
+/// The fused sharded queue on the scale experiment's grid workload at a
+/// fixed small size: a k=2 BMMB flood over an n=4,096 jittered-grid dual
+/// (`G′ = G`), run on 4 event-queue shards. The execution is
+/// byte-identical to the sequential runtime's (asserted via the event
+/// counter); only wall clock may differ. Regressions in the window
+/// barrier and outbox merge show up here first, at a size small enough
 /// for Criterion yet large enough for non-trivial per-shard windows.
-fn bench_sharded_threads(c: &mut Criterion) {
+fn bench_sharded_fused(c: &mut Criterion) {
     let n = 4096;
     let mut rng = SimRng::seed(0x5CA1E ^ n as u64);
     let net = generators::grid_grey_zone_network(n, 0.0, &mut rng).expect("n >= 1");
@@ -188,31 +185,24 @@ fn bench_sharded_threads(c: &mut Criterion) {
         cfg,
         &assignment,
         EagerPolicy::new(),
-        &RunOptions::fast().with_shards(4),
+        &RunOptions::fast(),
     )
     .counters
     .get("events");
-    let mut bench = |name: &str, threads: usize| {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                let report = run_bmmb(
-                    black_box(&net.dual),
-                    cfg,
-                    &assignment,
-                    EagerPolicy::new(),
-                    &RunOptions::fast()
-                        .with_shards(4)
-                        .with_shard_threads(threads),
-                );
-                let events = report.counters.get("events");
-                assert_eq!(events, baseline, "thread count must never change events");
-                black_box(events)
-            });
+    c.bench_function("flood_grid_sharded_fused", |b| {
+        b.iter(|| {
+            let report = run_bmmb(
+                black_box(&net.dual),
+                cfg,
+                &assignment,
+                EagerPolicy::new(),
+                &RunOptions::fast().with_shards(4),
+            );
+            let events = report.counters.get("events");
+            assert_eq!(events, baseline, "sharding must never change events");
+            black_box(events)
         });
-    };
-    bench("flood_grid_sharded_fused", 0);
-    bench("flood_grid_sharded_threads_t2", 2);
-    bench("flood_grid_sharded_threads_t4", 4);
+    });
 }
 
 fn bench_bmmb(c: &mut Criterion) {
@@ -266,7 +256,7 @@ criterion_group!(
     bench_event_queue,
     bench_event_queue_hold,
     bench_runtime_hot_path,
-    bench_sharded_threads,
+    bench_sharded_fused,
     bench_bmmb,
     bench_topology
 );

@@ -27,11 +27,7 @@
 //! workload (sweeps and `--record`) on the sharded event queue with `K`
 //! shards; sharded execution is byte-identical to sequential
 //! (`tests/shard_equivalence.rs`), so only wall-clock-exempt cells may
-//! change. `--shard-threads T` additionally drains the shards' time
-//! windows on up to `T` scoped worker threads per trial — still
-//! byte-identical, and capped against `--jobs` so the two pools never
-//! multiply past the available cores (threads only unfold when jobs
-//! leave cores idle, e.g. `--jobs 1`).
+//! change. `K` may be at most `amac_sim::MAX_SHARDS` (256).
 //!
 //! Stdout is **byte-identical for any `J`** — including adaptive trial
 //! counts and plot lines: trial `i` is seeded by `SimRng::split(i)`,
@@ -105,7 +101,7 @@ fn usage_exit() -> ! {
     eprintln!(
         "usage: repro [EXPERIMENT ...] [--list] [--markdown] [--smoke] [--trials N] [--jobs J] \
          [--target-ci FRAC] [--max-trials M] [--dump-traces DIR] [--plots] [--json DIR] \
-         [--record DIR] [--metrics DIR] [--chrome-trace FILE] [--shards K] [--shard-threads T]"
+         [--record DIR] [--metrics DIR] [--chrome-trace FILE] [--shards K]"
     );
     eprintln!(
         "       repro replay FILE [FILE ...] \
@@ -160,6 +156,20 @@ fn count_arg(args: &mut impl Iterator<Item = String>, flag: &str) -> usize {
     })
 }
 
+/// `--shards K`: a count no larger than [`amac_sim::MAX_SHARDS`], the most
+/// shards the sharded event queue can address.
+fn shards_arg(args: &mut impl Iterator<Item = String>) -> usize {
+    let k = count_arg(args, "--shards");
+    if k > amac_sim::MAX_SHARDS {
+        eprintln!(
+            "--shards {k} is above the limit of {} shards",
+            amac_sim::MAX_SHARDS
+        );
+        usage_exit()
+    }
+    k
+}
+
 fn depth_arg(args: &mut impl Iterator<Item = String>) -> Option<usize> {
     match args.next().as_deref() {
         Some("full") => None,
@@ -191,7 +201,6 @@ fn main() {
     let mut metrics_dir: Option<PathBuf> = None;
     let mut chrome_trace: Option<PathBuf> = None;
     let mut shards = 0usize;
-    let mut shard_threads = 0usize;
     let mut replay_mode = false;
     let mut replay_files: Vec<PathBuf> = Vec::new();
     let mut observer = "validator".to_string();
@@ -236,8 +245,7 @@ fn main() {
             "--record" => record_dir = Some(dir_arg(&mut args, "--record")),
             "--metrics" => metrics_dir = Some(dir_arg(&mut args, "--metrics")),
             "--chrome-trace" => chrome_trace = Some(dir_arg(&mut args, "--chrome-trace")),
-            "--shards" => shards = count_arg(&mut args, "--shards"),
-            "--shard-threads" => shard_threads = count_arg(&mut args, "--shard-threads"),
+            "--shards" => shards = shards_arg(&mut args),
             "--observer" => {
                 observer = args.next().unwrap_or_else(|| {
                     eprintln!(
@@ -323,9 +331,7 @@ fn main() {
     };
 
     if record_dir.is_some() || metrics_dir.is_some() || chrome_trace.is_some() {
-        let mut run = RunOptions::default()
-            .with_shards(shards)
-            .with_shard_threads(shard_threads);
+        let mut run = RunOptions::default().with_shards(shards);
         run.metrics = metrics_dir.is_some();
         run.chrome_trace = chrome_trace;
         let opts = amac_bench::CanonicalOpts {
@@ -340,8 +346,7 @@ fn main() {
     let mut runner = TrialRunner::new(trials, jobs)
         .with_trace_capture(dump_traces.is_some())
         .with_plots(plots)
-        .with_shards(shards)
-        .with_shard_threads(shard_threads);
+        .with_shards(shards);
     if let Some(frac) = target_ci {
         // Adaptive mode needs headroom above the floor; default the cap to
         // 8x the floor when --max-trials is not given.

@@ -130,8 +130,8 @@ impl CellCtx {
     }
 
     /// The cell's base run options: the fast unvalidated path with the
-    /// runner's shards and effective shard threads, or the
-    /// trace-capturing path (trace kept, validation on) when
+    /// runner's shards, or the trace-capturing path (trace kept,
+    /// validation on) when
     /// [`capture_requested`](Self::capture_requested). Experiments adjust
     /// the result (e.g. `stopping_on_completion`) and pass it to their
     /// harness; none of these settings changes a measured value.
@@ -359,7 +359,6 @@ pub struct TrialRunner {
     capture: bool,
     plots: bool,
     shards: usize,
-    shard_threads: usize,
 }
 
 impl TrialRunner {
@@ -375,7 +374,6 @@ impl TrialRunner {
             capture: false,
             plots: false,
             shards: 0,
-            shard_threads: 0,
         }
     }
 
@@ -446,7 +444,6 @@ impl TrialRunner {
             capture: self.capture,
             plots: self.plots,
             shards: self.shards,
-            shard_threads: self.shard_threads,
         }
     }
 
@@ -500,39 +497,6 @@ impl TrialRunner {
         self.shards
     }
 
-    /// Sets the *requested* per-trial shard worker-thread count (0 = the
-    /// fused single-core drain). Like `--shards`, threading never changes
-    /// a measured value or a delivered byte, so the count each cell's
-    /// [`CellCtx::options`] carries may be capped against `--jobs`
-    /// oversubscription without perturbing any output.
-    pub fn with_shard_threads(mut self, threads: usize) -> TrialRunner {
-        self.shard_threads = threads;
-        self
-    }
-
-    /// The requested shard worker-thread count (0 = fused drain).
-    pub fn shard_threads(&self) -> usize {
-        self.shard_threads
-    }
-
-    /// The shard worker-thread count each cell actually runs with.
-    ///
-    /// **Oversubscription policy:** the engine already fans `--jobs`
-    /// workers out over the cores, and every one of those workers would
-    /// spawn `--shard-threads` scoped shard workers of its own — the
-    /// product, not the max, hits the scheduler. The effective per-trial
-    /// count is therefore capped at `max(1, cores / jobs)`: with the pool
-    /// saturated (`--jobs` = cores) trials run the fused drain's
-    /// single-core equivalent (1 thread), and shard threads only unfold
-    /// when jobs leave cores idle (e.g. `--jobs 1`, the `scale` default).
-    /// Capping is output-invariant: thread count never changes bytes.
-    fn effective_shard_threads(&self) -> usize {
-        if self.shards == 0 || self.shard_threads == 0 {
-            return 0;
-        }
-        self.shard_threads.min((default_jobs() / self.jobs).max(1))
-    }
-
     /// Runs a sweep of `widths.len()` points, each measuring `widths[p]`
     /// values (lanes) per trial, and returns per-point, per-lane
     /// aggregates. This is the engine's main entry point:
@@ -569,9 +533,7 @@ impl TrialRunner {
             index: t as u64,
             rng: base.split(t as u64),
         };
-        let options = RunOptions::fast()
-            .with_shards(self.shards)
-            .with_shard_threads(self.effective_shard_threads());
+        let options = RunOptions::fast().with_shards(self.shards);
         let cell_ctx = |t: usize, p: usize, capture: bool| {
             let trial = trial_ctx(t);
             let rng = trial.rng.split(CELL_STREAM_SALT ^ p as u64);

@@ -247,21 +247,14 @@ impl ExperimentSpec {
     /// Records the experiment's canonical execution (`smoke` picks the
     /// small parameterisation) to `dir/<id>.amactrace` — see
     /// [`crate::record`]. A non-zero `shards` records through the sharded
-    /// event queue and a non-zero `shard_threads` drains it on scoped
-    /// worker threads; the bytes are identical by construction either way.
+    /// event queue; the bytes are identical by construction either way.
     pub fn record(
         &self,
         dir: &std::path::Path,
         smoke: bool,
         shards: usize,
-        shard_threads: usize,
     ) -> crate::record::RecordedTrace {
-        let run = (self.canonical)(&crate::record::CanonicalOpts::recording(
-            dir,
-            smoke,
-            shards,
-            shard_threads,
-        ));
+        let run = (self.canonical)(&crate::record::CanonicalOpts::recording(dir, smoke, shards));
         run.trace.expect("recording was requested")
     }
 }

@@ -48,8 +48,8 @@ pub struct RecordedTrace {
 /// deterministic metrics report, a Chrome trace-event export, or any
 /// combination. `smoke` picks the small parameterisation and `run` the
 /// base [`RunOptions`] every canonical run starts from — its execution
-/// mode (`shards`, `shard_threads`) and its instruments (`metrics`,
-/// `chrome_trace`). None of these changes the deterministic outputs (see
+/// mode (`shards`) and its instruments (`metrics`, `chrome_trace`).
+/// None of these changes the deterministic outputs (see
 /// `tests/shard_equivalence.rs` and `tests/determinism.rs`).
 #[derive(Clone, Debug, Default)]
 pub struct CanonicalOpts {
@@ -66,18 +66,11 @@ pub struct CanonicalOpts {
 
 impl CanonicalOpts {
     /// Options for plain recording — the historical `--record DIR` shape.
-    pub fn recording(
-        dir: impl AsRef<Path>,
-        smoke: bool,
-        shards: usize,
-        shard_threads: usize,
-    ) -> CanonicalOpts {
+    pub fn recording(dir: impl AsRef<Path>, smoke: bool, shards: usize) -> CanonicalOpts {
         CanonicalOpts {
             smoke,
             record: Some(dir.as_ref().to_path_buf()),
-            run: RunOptions::default()
-                .with_shards(shards)
-                .with_shard_threads(shard_threads),
+            run: RunOptions::default().with_shards(shards),
         }
     }
 
@@ -432,7 +425,7 @@ mod tests {
     #[test]
     fn consensus_trace_stores_its_fault_plan_digest() {
         let dir = temp_dir("cons");
-        let recorded = consensus_crash(&CanonicalOpts::recording(&dir, true, 0, 0))
+        let recorded = consensus_crash(&CanonicalOpts::recording(&dir, true, 0))
             .trace
             .expect("recording was requested");
         assert_ne!(recorded.summary.header.fault_plan_digest, 0);

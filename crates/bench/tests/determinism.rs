@@ -217,13 +217,12 @@ fn strip_columns(
 
 #[test]
 fn scale_tables_are_jobs_invariant_modulo_wall_clock() {
-    // The scale experiment's four wall-clock throughput columns (and the
-    // speedup ratio derived from two of them) are exempt from the
-    // byte-identity contract (like the JSON wall clock); every other
-    // cell — events, instances, completion, validator peaks, shard
+    // The scale experiment's two wall-clock throughput columns are exempt
+    // from the byte-identity contract (like the JSON wall clock); every
+    // other cell — events, instances, completion, validator peaks, shard
     // diagnostics, violations — must be byte-identical across worker
     // counts.
-    const WALL: &[&str] = &["seq ev/s", "fused ev/s", "thr ev/s", "thr/fused"];
+    const WALL: &[&str] = &["seq ev/s", "fused ev/s"];
     let serial = experiments::scale::run(&[200, 600], &TrialRunner::new(4, 1));
     let parallel = experiments::scale::run(&[200, 600], &TrialRunner::new(4, 8));
     assert_eq!(
@@ -235,37 +234,31 @@ fn scale_tables_are_jobs_invariant_modulo_wall_clock() {
 
 #[test]
 fn scale_tables_are_shards_invariant_modulo_diagnostics() {
-    // `--shards K` (and `--shard-threads T`) replay the identical event
-    // sequence (proven trace-level in tests/shard_equivalence.rs), so
-    // every workload cell — events, instances, completion, validator
-    // peaks, violations — must be byte-identical across the jobs × shards
-    // × threads grid. Only the wall-clock throughput/speedup cells and
-    // the configuration/diagnostic columns (which describe the engine
-    // setup itself) are exempt.
+    // `--shards K` replays the identical event sequence (proven
+    // trace-level in tests/shard_equivalence.rs), so every workload cell
+    // — events, instances, completion, validator peaks, violations —
+    // must be byte-identical across the jobs × shards grid. Only the
+    // wall-clock throughput cells and the configuration/diagnostic
+    // columns (which describe the engine setup itself) are exempt.
     const EXEMPT: &[&str] = &[
         "seq ev/s",
         "fused ev/s",
-        "thr ev/s",
-        "thr/fused",
         "shards",
-        "threads",
         "peak shard q",
         "barrier slack",
     ];
-    let render = |jobs: usize, shards: usize, threads: usize| {
-        let runner = TrialRunner::new(4, jobs)
-            .with_shards(shards)
-            .with_shard_threads(threads);
+    let render = |jobs: usize, shards: usize| {
+        let runner = TrialRunner::new(4, jobs).with_shards(shards);
         strip_columns(&experiments::scale::run(&[200, 600], &runner).table, EXEMPT)
     };
-    let reference = render(1, 0, 0);
+    let reference = render(1, 0);
     for jobs in [1usize, 8] {
-        for (shards, threads) in [(0usize, 0usize), (1, 2), (4, 0), (4, 4), (7, 3)] {
+        for shards in [0usize, 1, 4, 7] {
             assert_eq!(
                 reference,
-                render(jobs, shards, threads),
-                "SCALE: jobs={jobs} shards={shards} threads={threads} must agree with \
-                 the sequential run on every workload cell"
+                render(jobs, shards),
+                "SCALE: jobs={jobs} shards={shards} must agree with the sequential run \
+                 on every workload cell"
             );
         }
     }
@@ -276,13 +269,11 @@ fn scale_tables_are_shards_invariant_modulo_diagnostics() {
 fn canonical_obs(
     id: &str,
     shards: usize,
-    shard_threads: usize,
     trace: Option<std::path::PathBuf>,
 ) -> amac_bench::CanonicalRun {
     let spec = experiments::find(id).expect("registry id");
     let mut run = amac_core::RunOptions::default()
         .with_shards(shards)
-        .with_shard_threads(shard_threads)
         .with_metrics();
     run.chrome_trace = trace;
     spec.canonical(&amac_bench::CanonicalOpts {
@@ -303,14 +294,14 @@ fn metrics_payloads_are_shards_invariant() {
     // acceptance criterion on `repro scale --shards 4 --metrics`.
     for id in ["scale", "consensus_crash"] {
         let reference = amac_obs::deterministic_payload(
-            &canonical_obs(id, 0, 0, None)
+            &canonical_obs(id, 0, None)
                 .metrics
                 .expect("metrics were requested")
                 .to_json(id),
         );
         for shards in [1usize, 4] {
             let sharded = amac_obs::deterministic_payload(
-                &canonical_obs(id, shards, 0, None)
+                &canonical_obs(id, shards, None)
                     .metrics
                     .expect("metrics were requested")
                     .to_json(id),
@@ -324,31 +315,28 @@ fn metrics_payloads_are_shards_invariant() {
 }
 
 #[test]
-fn metrics_payloads_are_shard_thread_invariant() {
-    // The thread-per-shard drain adds the last determinism axis: the
-    // rendered METRICS payload must survive the full threads x shards
-    // grid. (Worker lanes land in the stripped "nondeterministic"
-    // member, so wall-clock profiling never leaks into the comparison.)
+fn scale_metrics_payloads_are_invariant_across_shard_counts() {
+    // The rendered METRICS payload of the flood must survive even and
+    // uneven shard counts. (The shard profile lands in the stripped
+    // "nondeterministic" member, so wall-clock profiling never leaks
+    // into the comparison.)
     let reference = amac_obs::deterministic_payload(
-        &canonical_obs("scale", 0, 0, None)
+        &canonical_obs("scale", 0, None)
             .metrics
             .expect("metrics were requested")
             .to_json("scale"),
     );
-    for shards in [1usize, 2, 4] {
-        for threads in [1usize, 2, 4] {
-            let threaded = amac_obs::deterministic_payload(
-                &canonical_obs("scale", shards, threads, None)
-                    .metrics
-                    .expect("metrics were requested")
-                    .to_json("scale"),
-            );
-            assert_eq!(
-                reference, threaded,
-                "scale: shards={shards} threads={threads} must produce the \
-                 sequential metrics payload"
-            );
-        }
+    for shards in [1usize, 2, 4, 7] {
+        let sharded = amac_obs::deterministic_payload(
+            &canonical_obs("scale", shards, None)
+                .metrics
+                .expect("metrics were requested")
+                .to_json("scale"),
+        );
+        assert_eq!(
+            reference, sharded,
+            "scale: shards={shards} must produce the sequential metrics payload"
+        );
     }
 }
 
@@ -358,7 +346,7 @@ fn fault_free_metrics_respect_the_ack_bound() {
     // delivery-latency histogram's upper edge is bounded by the model's
     // ack deadline (consensus_crash injects crashes and is exempt).
     for id in ["fig1_gg", "fig1_fmmb", "scale"] {
-        let metrics = canonical_obs(id, 0, 0, None)
+        let metrics = canonical_obs(id, 0, None)
             .metrics
             .expect("metrics were requested");
         assert!(metrics.bcasts > 0, "{id}: empty run");
@@ -393,7 +381,7 @@ fn chrome_traces_are_shards_invariant_modulo_track_ids() {
     std::fs::create_dir_all(&dir).unwrap();
     let render = |shards: usize| {
         let path = dir.join(format!("trace-{shards}.json"));
-        canonical_obs("scale", shards, 0, Some(path.clone()));
+        canonical_obs("scale", shards, Some(path.clone()));
         let doc = std::fs::read_to_string(&path).expect("chrome trace written");
         std::fs::remove_file(&path).ok();
         doc

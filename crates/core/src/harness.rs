@@ -45,15 +45,6 @@ pub struct RunOptions {
     /// time-windowed shards. The execution is byte-identical either way —
     /// sharding changes how events are queued, never what happens.
     pub shards: usize,
-    /// Worker threads for the sharded queue's window barrier
-    /// ([`amac_mac::Runtime::with_shard_threads`]): `0` (the default)
-    /// keeps the fused single-core drain; `t ≥ 1` integrates and extracts
-    /// the K shards' windows on up to `t` scoped threads (clamped to the
-    /// shard count) with adaptive window widths. Like
-    /// [`shards`](RunOptions::shards), this never changes a delivered
-    /// byte — byte-identity holds for every `(shards, shard_threads)`.
-    /// Ignored when `shards == 0`.
-    pub shard_threads: usize,
     /// Attach a streaming [`amac_obs::MetricsObserver`] and return its
     /// [`amac_obs::MetricsReport`] in the report: sim-time latency/slack
     /// histograms,
@@ -76,7 +67,6 @@ impl Default for RunOptions {
             horizon: Time::MAX,
             record: None,
             shards: 0,
-            shard_threads: 0,
             metrics: false,
             chrome_trace: None,
         }
@@ -128,12 +118,11 @@ impl RunOptions {
         self
     }
 
-    /// Drains the sharded queue's windows on up to `threads` scoped
-    /// worker threads (see [`RunOptions::shard_threads`]); `0` restores
-    /// the fused single-core drain. No effect unless
-    /// [`with_shards`](RunOptions::with_shards) is also set.
-    pub fn with_shard_threads(mut self, threads: usize) -> RunOptions {
-        self.shard_threads = threads;
+    /// Returns `self` unchanged: the sharded queue drains every shard on
+    /// the calling thread, and there is no worker count to set. Kept only
+    /// because the `perfbench` traced engine lane still calls it; it goes
+    /// when that lane does.
+    pub fn with_shard_threads(self, _threads: usize) -> RunOptions {
         self
     }
 

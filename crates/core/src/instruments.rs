@@ -21,9 +21,8 @@ use std::path::PathBuf;
 
 impl RunOptions {
     /// Builds a runtime over `dual` in the execution mode these options
-    /// select: sequential, or [`shards`](RunOptions::shards) event-queue
-    /// shards drained on [`shard_threads`](RunOptions::shard_threads)
-    /// workers. The execution is byte-identical in every mode.
+    /// select: sequential, or on [`shards`](RunOptions::shards)
+    /// event-queue shards. The execution is byte-identical either way.
     pub fn runtime<A, P>(
         &self,
         dual: &DualGraph,
@@ -33,15 +32,11 @@ impl RunOptions {
     ) -> Runtime<A, P>
     where
         A: Automaton,
-        A::Env: Send,
         P: Policy,
     {
         let mut rt = Runtime::new(dual.clone(), config, nodes, policy);
         if self.shards > 0 {
             rt = rt.with_shards(self.shards);
-            if self.shard_threads > 0 {
-                rt = rt.with_shard_threads(self.shard_threads);
-            }
         }
         rt
     }

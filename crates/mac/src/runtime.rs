@@ -374,20 +374,18 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
     /// minimal `(time, seq)` event, so the total event order is exactly
     /// the sequential one.
     ///
-    /// `k` is clamped to [`amac_sim::MAX_SHARDS`]; `k` may exceed the node
-    /// count (trailing shards stay empty).
+    /// `k` may exceed the node count (trailing shards stay empty).
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`, or if called after
-    /// [`with_faults`](Runtime::with_faults),
-    /// [`inject`](Runtime::inject), or the first
-    /// step — sharding must be decided before any event beyond the initial
-    /// node starts is scheduled, so the shared sequence numbering matches
-    /// the sequential runtime's.
+    /// Panics if `k == 0` or `k >` [`amac_sim::MAX_SHARDS`], or if called
+    /// after [`with_faults`](Runtime::with_faults),
+    /// [`inject`](Runtime::inject), or the first step — sharding must be
+    /// decided before any event beyond the initial node starts is
+    /// scheduled, so the shared sequence numbering matches the sequential
+    /// runtime's.
     pub fn with_shards(mut self, k: usize) -> Self {
         assert!(k >= 1, "shard count must be at least 1");
-        let k = k.min(amac_sim::MAX_SHARDS);
         let n = self.dual.len();
         match &self.queue {
             Queue::Single(q) => assert!(
@@ -408,45 +406,6 @@ impl<A: Automaton, P: Policy> Runtime<A, P> {
             part,
         };
         self
-    }
-
-    /// Deploys the sharded queue's **thread-per-shard drain**: at every
-    /// window barrier, up to `threads` scoped workers
-    /// (`std::thread::scope`, clamped to the shard count) integrate
-    /// buffered cross-window events and extract the next window from
-    /// their shards' heaps in parallel, while the runtime's handlers —
-    /// and therefore the observer stream, every policy draw, and all
-    /// instance numbering — keep executing serially on the coordinator in
-    /// canonical `(time, seq)` order. Execution stays **byte-identical**
-    /// to the sequential runtime for every `(shards, threads)` pair; the
-    /// window width adapts to the measured lookahead-miss and
-    /// barrier-slack rates ([`amac_sim::WindowTuning::Adaptive`]), which
-    /// is order-neutral by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`with_shards`](Runtime::with_shards) was called
-    /// first, or if events were already delivered.
-    pub fn with_shard_threads(mut self, threads: usize) -> Self
-    where
-        A::Env: Send,
-    {
-        match &mut self.queue {
-            Queue::Single(_) => panic!("with_shard_threads requires with_shards first"),
-            Queue::Sharded { q, .. } => {
-                q.enable_threaded_drain(threads, amac_sim::WindowTuning::Adaptive);
-            }
-        }
-        self
-    }
-
-    /// Barrier-worker threads of the threaded shard drain (0 when fused
-    /// or sequential).
-    pub fn shard_threads(&self) -> usize {
-        match &self.queue {
-            Queue::Single(_) => 0,
-            Queue::Sharded { q, .. } => q.drain_threads(),
-        }
     }
 
     /// The shard `node`'s events run on, or `None` in sequential mode —
@@ -1574,69 +1533,12 @@ mod tests {
     }
 
     #[test]
-    fn threaded_flood_trace_is_identical_to_sequential() {
-        let dual = line_dual(20);
-        let cfg = MacConfig::from_ticks(3, 24);
-        let mut seq = Runtime::new(dual.clone(), cfg, flooders(20), EagerPolicy::new()).tracing();
-        seq.run();
-        let seq_trace = seq.into_trace().unwrap();
-        for k in [1usize, 2, 4] {
-            for t in [1usize, 2, 4] {
-                let mut sh = Runtime::new(dual.clone(), cfg, flooders(20), EagerPolicy::new())
-                    .with_shards(k)
-                    .with_shard_threads(t)
-                    .tracing();
-                sh.run();
-                assert_eq!(sh.shard_threads(), t.clamp(1, k));
-                let sh_trace = sh.into_trace().unwrap();
-                assert_eq!(
-                    seq_trace.entries(),
-                    sh_trace.entries(),
-                    "trace diverged at k = {k}, t = {t}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_run_with_faults_matches_sequential() {
-        let dual = line_dual(12);
-        let cfg = MacConfig::from_ticks(3, 24);
-        let plan = FaultPlan::new()
-            .crash_at(NodeId::new(5), Time::from_ticks(4))
-            .recover_at(NodeId::new(5), Time::from_ticks(30));
-        let mut seq = Runtime::new(
-            dual.clone(),
-            cfg,
-            flooders(12),
-            crate::policies::LazyPolicy::new(),
-        )
-        .tracing()
-        .with_faults(plan.clone());
-        seq.run();
-        let seq_trace = seq.into_trace().unwrap();
-        let mut sh = Runtime::new(
-            dual.clone(),
-            cfg,
-            flooders(12),
-            crate::policies::LazyPolicy::new(),
-        )
-        .with_shards(4)
-        .with_shard_threads(2)
-        .tracing()
-        .with_faults(plan);
-        sh.run();
-        let sh_trace = sh.into_trace().unwrap();
-        assert_eq!(seq_trace.entries(), sh_trace.entries());
-        assert_eq!(seq_trace.faults(), sh_trace.faults());
-    }
-
-    #[test]
-    #[should_panic(expected = "requires with_shards")]
-    fn shard_threads_without_shards_panics() {
+    #[should_panic(expected = "shard count 257 outside")]
+    fn shard_counts_above_the_limit_panic_instead_of_clamping() {
         let dual = line_dual(4);
         let cfg = MacConfig::from_ticks(2, 16);
-        let _ = Runtime::new(dual, cfg, flooders(4), EagerPolicy::new()).with_shard_threads(2);
+        let _ = Runtime::new(dual, cfg, flooders(4), EagerPolicy::new())
+            .with_shards(amac_sim::MAX_SHARDS + 1);
     }
 
     #[test]

@@ -394,20 +394,9 @@ impl MetricsReport {
                 })
                 .collect::<Vec<_>>()
                 .join(",");
-            let workers = p
-                .workers
-                .iter()
-                .map(|w| {
-                    format!(
-                        "{{\"busy_nanos\":{},\"barrier_wait_nanos\":{},\"idle_nanos\":{}}}",
-                        w.busy_nanos, w.barrier_wait_nanos, w.idle_nanos
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
             members.push(format!(
                 "\"profile\":{{\"drain_nanos\":{},\"barrier_nanos\":{},\"merge_nanos\":{},\
-                 \"busy_nanos\":[{busy}],\"workers\":[{workers}],\"samples\":[{samples}]}}",
+                 \"busy_nanos\":[{busy}],\"samples\":[{samples}]}}",
                 p.drain_nanos, p.barrier_nanos, p.merge_nanos,
             ));
         }
@@ -558,11 +547,7 @@ mod tests {
                     barrier_nanos: 45,
                     merge_nanos: 6,
                     busy_nanos: vec![100, 23],
-                    workers: vec![amac_sim::WorkerLane {
-                        busy_nanos: 90,
-                        barrier_wait_nanos: 7,
-                        idle_nanos: 3,
-                    }],
+                    workers: Vec::new(),
                     samples: Vec::new(),
                 }),
             )
@@ -570,7 +555,7 @@ mod tests {
         assert!(sharded.contains("\"nondeterministic\""));
         assert!(sharded.contains("\"wall_clock\":true"));
         assert!(sharded.contains("\"drain_nanos\":123"));
-        assert!(sharded.contains("\"barrier_wait_nanos\":7"));
+        assert!(sharded.contains("\"busy_nanos\":[100,23]"));
         assert_eq!(
             deterministic_payload(&sharded),
             plain,

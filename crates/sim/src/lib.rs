@@ -50,8 +50,8 @@ mod time;
 
 pub use hash::{fnv1a64, FastHashMap, FastHashSet, FastHasher, Fnv1a};
 pub use queue::{
-    EventId, EventQueue, ShardProfile, ShardSample, ShardStats, ShardedEventQueue, WindowTuning,
-    WorkerLane, MAX_SHARDS,
+    EventId, EventQueue, ShardProfile, ShardSample, ShardStats, ShardedEventQueue, WorkerLane,
+    MAX_SHARDS,
 };
 pub use rng::SimRng;
 pub use time::{Duration, Time};

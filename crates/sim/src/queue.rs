@@ -43,9 +43,7 @@ mod buckets;
 use crate::time::{Duration, Time};
 use buckets::TickBuckets;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// Handle to a scheduled event, usable with [`EventQueue::cancel`].
 ///
@@ -281,44 +279,6 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Drains every pending entry with `at < end` into `out`, in
-    /// `(time, seq)` order, **without** retiring slot generations — the
-    /// threaded sharded drain extracts a window's events on a worker
-    /// thread and defers retirement to the coordinator's canonical
-    /// consume, so post-extraction cancels still observe a live id.
-    /// Stale (cancelled) entries are dropped and reclaimed here.
-    fn extract_window(&mut self, end: Time, out: &mut VecDeque<Entry<E>>) {
-        while let Some(head) = self.pending.peek() {
-            if head.at >= end {
-                break;
-            }
-            let entry = self.pending.pop().expect("peeked entry exists");
-            if self.generations[entry.slot as usize] != entry.generation {
-                self.stale = self.stale.saturating_sub(1);
-                continue;
-            }
-            out.push_back(entry);
-        }
-    }
-
-    /// Merges a barrier inbox into the pending set: live entries are
-    /// pushed with their original `(at, seq)` key, cancelled-while-buffered
-    /// entries are dropped and the stale counter rebalanced (their cancel
-    /// counted a pending entry that was never pushed).
-    fn integrate_inbox(&mut self, inbox: &mut Vec<Inboxed<E>>) {
-        // Canonical per-destination batch order (determinism rule 5): the
-        // pop order is independent of push order, but the batch order
-        // stays the documented `(tick, seq)` one.
-        inbox.sort_unstable_by_key(|i| (i.at, i.seq));
-        for i in inbox.drain(..) {
-            if self.generations[i.id.slot as usize] == i.id.generation {
-                self.push_entry(i.at, i.seq, i.id, i.event);
-            } else {
-                self.stale = self.stale.saturating_sub(1);
-            }
-        }
-    }
-
     /// Returns `true` if no deliverable events remain.
     pub fn is_empty(&mut self) -> bool {
         self.peek_time().is_none()
@@ -369,130 +329,18 @@ struct Outboxed<E> {
     event: E,
 }
 
-/// One event buffered for a *future* window under the threaded drain: it
-/// owns its global sequence number and a reserved slot on the destination
-/// shard (so cancellation works while buffered), and a worker thread
-/// integrates it into the destination shard at the next barrier.
-struct Inboxed<E> {
-    at: Time,
-    seq: u64,
-    /// Local (unpacked) id on the destination shard.
-    id: EventId,
-    event: E,
-}
-
-/// Window-width policy for the threaded sharded drain.
-///
-/// Under the threaded drain the delivered event stream is provably
-/// independent of the window width — the coordinator always consumes the
-/// global `(time, seq)` minimum — so the width is a pure performance knob:
-/// wider windows amortize barrier (thread-spawn and rendezvous) overhead,
-/// narrower windows bound the extracted-run working set.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WindowTuning {
-    /// Keep the conservative `min(F_prog, F_ack)` width on every window —
-    /// barrier placement (and hence [`ShardStats`]) matches the fused
-    /// single-core coordinator exactly.
-    #[default]
-    Fixed,
-    /// Retune the width at every barrier from the measured
-    /// [`lookahead_misses`](ShardStats::lookahead_misses) and
-    /// [`barrier_slack_ticks`](ShardStats::barrier_slack_ticks): widen
-    /// (up to 8x the base) while cross-shard misses stay rare, narrow back
-    /// toward the base when per-shard slack balloons. Deterministic — the
-    /// inputs are simulated-time quantities, never wall clock.
-    Adaptive,
-}
-
-/// Widest adaptive window, as a multiple of the base conservative width.
-const MAX_WINDOW_FACTOR: u64 = 8;
-
-/// Wall-clock self-profile of one barrier worker under the threaded drain
-/// (nondeterministic side channel, like the rest of [`ShardProfile`]).
+/// Wall-clock lanes of a thread-per-shard drain worker. The queue has no
+/// such drain, so no [`ShardProfile`] ever holds one: the type is kept
+/// only because the `perfbench` traced engine lane still reads
+/// [`ShardProfile::workers`], and it goes when that lane does.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorkerLane {
-    /// Nanoseconds doing useful work inside barrier scopes (inbox
-    /// integration, stale purging, window extraction).
+    /// Nanoseconds doing useful work inside barrier scopes.
     pub busy_nanos: u64,
-    /// Nanoseconds blocked on the in-scope rendezvous waiting for the
-    /// slowest worker of the barrier.
+    /// Nanoseconds blocked on a barrier rendezvous.
     pub barrier_wait_nanos: u64,
-    /// Nanoseconds between barrier scopes — the coordinator's serial
-    /// canonical consume phase, during which no worker exists.
+    /// Nanoseconds between barrier scopes.
     pub idle_nanos: u64,
-}
-
-/// Per-worker signature of one barrier scope: `(busy, rendezvous-wait)`
-/// nanoseconds, zero when profiling is off.
-type WorkerScopeNanos = (u64, u64);
-
-/// Everything a barrier crossing needs, bundled so the scoped-thread
-/// driver can be stored as a plain fn pointer (see
-/// [`ThreadedState::drive`]).
-struct BarrierJob<'a, E> {
-    shards: &'a mut [EventQueue<E>],
-    inboxes: &'a mut [Vec<Inboxed<E>>],
-    runs: &'a mut [VecDeque<Entry<E>>],
-    threads: usize,
-    width: Duration,
-    profiling: bool,
-}
-
-/// State of the thread-per-shard drain mode, present only after
-/// [`ShardedEventQueue::enable_threaded_drain`].
-struct ThreadedState<E> {
-    /// Worker threads per barrier (clamped to the shard count).
-    threads: usize,
-    /// Per-shard sorted runs of the current window, extracted from the
-    /// shards by the barrier workers and consumed front-to-back by the
-    /// coordinator's global `(time, seq)` argmin.
-    runs: Vec<VecDeque<Entry<E>>>,
-    /// Events scheduled *inside* the current window (same- or cross-shard
-    /// zero-lookahead spawns): the shards are already extracted, so
-    /// these merge through a coordinator-local overlay heap. Entries pack
-    /// the destination shard into the slot word like public ids.
-    overlay: BinaryHeap<Entry<E>>,
-    /// Per shard: overlay entries destined for it (pending accounting).
-    overlay_per_shard: Vec<usize>,
-    /// Per destination shard: events buffered for future windows,
-    /// integrated into the shards by the barrier workers.
-    inboxes: Vec<Vec<Inboxed<E>>>,
-    /// Total entries across all inboxes (cheap emptiness/compaction test).
-    inbox_len: usize,
-    /// Successful cancels since the inboxes/overlay were last compacted —
-    /// the same stale-versus-live policy as the shards, so schedule/cancel
-    /// churn of buffered events cannot grow memory between barriers.
-    buffered_cancels: usize,
-    /// Current window width (equals `base_width` under
-    /// [`WindowTuning::Fixed`]).
-    width: Duration,
-    /// The conservative `min(F_prog, F_ack)` base width.
-    base_width: Duration,
-    tuning: WindowTuning,
-    /// Snapshots at the previous barrier, for the adaptive retune.
-    popped_at_barrier: u64,
-    misses_at_barrier: u64,
-    /// The scoped-thread barrier driver, monomorphized under `E: Send` at
-    /// [`enable_threaded_drain`](ShardedEventQueue::enable_threaded_drain)
-    /// and stored as a plain fn pointer so the unbounded `pop`/`peek`
-    /// paths can invoke it. Returns the next window start (the earliest
-    /// live event anywhere), or `None` when nothing deliverable remains.
-    drive: DriveFn<E>,
-    /// Wall-clock instant the last barrier scope ended (worker idle
-    /// accounting; profiling only).
-    last_scope_end: Option<std::time::Instant>,
-}
-
-/// Signature of the monomorphized scoped-thread barrier driver stored in
-/// [`ThreadedState::drive`]: runs one window barrier and returns the next
-/// window start plus the per-worker wall-clock lanes of the scope.
-type DriveFn<E> = for<'a> fn(BarrierJob<'a, E>) -> (Option<Time>, Vec<WorkerScopeNanos>);
-
-/// Source of the next threaded-consume candidate.
-#[derive(Clone, Copy)]
-enum RunSrc {
-    Run(usize),
-    Overlay,
 }
 
 /// Synchronization statistics of a [`ShardedEventQueue`], all in simulated
@@ -512,9 +360,8 @@ pub struct ShardStats {
     pub outboxed: u64,
     /// Cross-shard events scheduled *inside* the current window — the
     /// conservative lookahead `min(F_prog, F_ack)` cannot defer these, so
-    /// the fused coordinator routes them immediately. In a thread-per-shard
-    /// deployment each one is a synchronization point; the counter
-    /// quantifies how conservative the windowing is for a workload.
+    /// the coordinator routes them immediately. The counter quantifies how
+    /// conservative the windowing is for a workload.
     pub lookahead_misses: u64,
     /// Per shard: peak pending events (queued entries plus parked outbox
     /// entries destined for the shard).
@@ -580,8 +427,7 @@ impl ShardStats {
 #[derive(Clone, Debug, Default)]
 pub struct ShardProfile {
     /// Wall-clock nanoseconds spent *between* pops inside windows — the
-    /// caller's event-processing time, the phase a thread-per-shard
-    /// deployment would parallelise.
+    /// caller's event-processing time.
     pub drain_nanos: u64,
     /// Wall-clock nanoseconds spent in barrier slack accounting.
     pub barrier_nanos: u64,
@@ -591,9 +437,9 @@ pub struct ShardProfile {
     /// Per shard: drain nanoseconds attributed to events popped from the
     /// shard. `busy_nanos[s] / drain_nanos` is the shard's busy fraction.
     pub busy_nanos: Vec<u64>,
-    /// Per barrier worker under the threaded drain: busy / rendezvous-wait
-    /// / between-scope idle nanoseconds. Empty on the fused (single-core)
-    /// coordinator.
+    /// Always empty: the queue drains every shard on the calling thread.
+    /// Kept only because the `perfbench` traced engine lane still reads
+    /// it; it goes when that lane does.
     pub workers: Vec<WorkerLane>,
     /// Decimated [`ShardStats`] time series sampled at window barriers
     /// (at most [`ShardProfile::MAX_SAMPLES`] entries; the sampling
@@ -701,9 +547,6 @@ pub struct ShardedEventQueue<E> {
     stats: ShardStats,
     /// Wall-clock self-profiling, opt-in (see [`ShardProfile`]).
     profiling: Option<Box<ProfileState>>,
-    /// Thread-per-shard drain mode, opt-in (see
-    /// [`enable_threaded_drain`](ShardedEventQueue::enable_threaded_drain)).
-    threaded: Option<Box<ThreadedState<E>>>,
 }
 
 impl<E> ShardedEventQueue<E> {
@@ -736,7 +579,6 @@ impl<E> ShardedEventQueue<E> {
             last_pop: vec![Time::ZERO; k],
             outbox_cancels: 0,
             profiling: None,
-            threaded: None,
             stats: ShardStats {
                 shards: k,
                 window_ticks: window.ticks(),
@@ -811,61 +653,25 @@ impl<E> ShardedEventQueue<E> {
             "shard {shard} exceeded its concurrent-event capacity"
         );
         let cross = self.current_shard.is_some_and(|src| src != shard);
-        let pending = if let Some(ts) = &mut self.threaded {
-            // Threaded drain: the shards were extracted up to `window_end`,
-            // so in-window events merge through the coordinator's overlay
-            // and future events are buffered for worker-side integration
-            // at the next barrier. The counters keep the fused semantics:
-            // `outboxed`/`lookahead_misses` count *cross-shard* traffic.
-            if at >= self.window_end {
-                ts.inboxes[shard].push(Inboxed {
-                    at,
-                    seq,
-                    id: local,
-                    event,
-                });
-                ts.inbox_len += 1;
-                if cross {
-                    self.stats.outboxed += 1;
-                }
-            } else {
-                if cross {
-                    self.stats.lookahead_misses += 1;
-                }
-                ts.overlay.push(Entry {
-                    at,
-                    seq,
-                    slot: ((shard as u32) << SHARD_SHIFT) | local.slot,
-                    generation: local.generation,
-                    event,
-                });
-                ts.overlay_per_shard[shard] += 1;
-            }
-            self.shards[shard].pending_upper_bound()
-                + ts.inboxes[shard].len()
-                + ts.runs[shard].len()
-                + ts.overlay_per_shard[shard]
+        if cross && at >= self.window_end {
+            // Order-safe to park: nothing at or beyond the barrier can be
+            // popped before the outbox is flushed there.
+            self.outbox.push(Outboxed {
+                dest: shard as u32,
+                at,
+                seq,
+                id: local,
+                event,
+            });
+            self.outboxed_per_shard[shard] += 1;
+            self.stats.outboxed += 1;
         } else {
-            if cross && at >= self.window_end {
-                // Order-safe to park: nothing at or beyond the barrier can
-                // be popped before the outbox is flushed there.
-                self.outbox.push(Outboxed {
-                    dest: shard as u32,
-                    at,
-                    seq,
-                    id: local,
-                    event,
-                });
-                self.outboxed_per_shard[shard] += 1;
-                self.stats.outboxed += 1;
-            } else {
-                if cross {
-                    self.stats.lookahead_misses += 1;
-                }
-                self.shards[shard].push_entry(at, seq, local, event);
+            if cross {
+                self.stats.lookahead_misses += 1;
             }
-            self.shards[shard].pending_upper_bound() + self.outboxed_per_shard[shard]
-        };
+            self.shards[shard].push_entry(at, seq, local, event);
+        }
+        let pending = self.shards[shard].pending_upper_bound() + self.outboxed_per_shard[shard];
         if pending > self.stats.peak_pending[shard] {
             self.stats.peak_pending[shard] = pending;
         }
@@ -900,55 +706,8 @@ impl<E> ShardedEventQueue<E> {
             if self.outbox.len() >= COMPACT_MIN && self.outbox_cancels * 2 >= self.outbox.len() {
                 self.compact_outbox();
             }
-            if let Some(ts) = &mut self.threaded {
-                // Same policy for the threaded drain's between-barrier
-                // buffers (inboxes and overlay).
-                ts.buffered_cancels += 1;
-                let buffered = ts.inbox_len + ts.overlay.len();
-                if buffered >= COMPACT_MIN && ts.buffered_cancels * 2 >= buffered {
-                    self.compact_buffers();
-                }
-            }
         }
         cancelled
-    }
-
-    /// Drops threaded-drain buffer entries (inbox and overlay) whose slot
-    /// generation no longer matches, rebalancing the per-shard stale
-    /// counters exactly like [`compact_outbox`](Self::compact_outbox).
-    fn compact_buffers(&mut self) {
-        let ts = self.threaded.as_mut().expect("threaded drain enabled");
-        let ThreadedState {
-            inboxes,
-            overlay,
-            overlay_per_shard,
-            inbox_len,
-            buffered_cancels,
-            ..
-        } = &mut **ts;
-        let shards = &mut self.shards;
-        for (shard, inbox) in inboxes.iter_mut().enumerate() {
-            let q = &mut shards[shard];
-            inbox.retain(|i| {
-                let live = q.generations[i.id.slot as usize] == i.id.generation;
-                if !live {
-                    *inbox_len -= 1;
-                    q.stale = q.stale.saturating_sub(1);
-                }
-                live
-            });
-        }
-        overlay.retain(|e| {
-            let shard = (e.slot >> SHARD_SHIFT) as usize;
-            let slot = (e.slot & LOCAL_SLOT_MASK) as usize;
-            let live = shards[shard].generations[slot] == e.generation;
-            if !live {
-                overlay_per_shard[shard] -= 1;
-                shards[shard].stale = shards[shard].stale.saturating_sub(1);
-            }
-            live
-        });
-        *buffered_cancels = 0;
     }
 
     /// Drops outbox entries whose slot generation no longer matches (they
@@ -983,23 +742,6 @@ impl<E> ShardedEventQueue<E> {
                 p.profile.busy_nanos[prev_shard] += gap;
             }
         }
-        let popped = if self.threaded.is_some() {
-            self.pop_threaded()
-        } else {
-            self.pop_fused()
-        };
-        if popped.is_some() {
-            if let Some(p) = &mut self.profiling {
-                let shard = self.current_shard.expect("a pop just succeeded");
-                p.last = Some((std::time::Instant::now(), shard));
-            }
-        }
-        popped
-    }
-
-    /// The fused (single-core) coordinator's pop: K-way argmin over the
-    /// shard heads via [`settle`](Self::settle).
-    fn pop_fused(&mut self) -> Option<(Time, E)> {
         let shard = self.settle()?;
         let (at, event) = self.shards[shard]
             .pop()
@@ -1008,18 +750,17 @@ impl<E> ShardedEventQueue<E> {
         self.popped += 1;
         self.current_shard = Some(shard);
         self.last_pop[shard] = at;
+        if let Some(p) = &mut self.profiling {
+            p.last = Some((std::time::Instant::now(), shard));
+        }
         Some((at, event))
     }
 
     /// Timestamp of the next pending event without removing it.
     pub fn peek_time(&mut self) -> Option<Time> {
-        if self.threaded.is_some() {
-            self.peek_threaded()
-        } else {
-            self.settle()
-                .and_then(|s| self.shards[s].peek_key())
-                .map(|(at, _)| at)
-        }
+        self.settle()
+            .and_then(|s| self.shards[s].peek_key())
+            .map(|(at, _)| at)
     }
 
     /// Returns `true` if no deliverable events remain anywhere.
@@ -1027,21 +768,15 @@ impl<E> ShardedEventQueue<E> {
         self.peek_time().is_none()
     }
 
-    /// Pending entries across all shards, outboxes, and (under the
-    /// threaded drain) the between-barrier buffers — extracted runs, the
-    /// overlay heap, and the future-window inboxes — **including**
+    /// Pending entries across all shards and the outbox, **including**
     /// not-yet-reclaimed cancellations (an upper bound on deliverable
     /// events).
     pub fn pending_upper_bound(&self) -> usize {
-        let buffered = self.threaded.as_ref().map_or(0, |ts| {
-            ts.inbox_len + ts.overlay.len() + ts.runs.iter().map(VecDeque::len).sum::<usize>()
-        });
         self.shards
             .iter()
             .map(EventQueue::pending_upper_bound)
             .sum::<usize>()
             + self.outbox.len()
-            + buffered
     }
 
     /// Selects the shard holding the globally earliest live event,
@@ -1156,423 +891,6 @@ impl<E> ShardedEventQueue<E> {
             }
         }
     }
-
-    /// Globally earliest unconsumed `(time, seq)` candidate of the current
-    /// threaded window: the argmin over the K run heads and the overlay.
-    fn threaded_best(&self) -> Option<(Time, u64, RunSrc)> {
-        let ts = self.threaded.as_ref().expect("threaded drain enabled");
-        let mut best: Option<(Time, u64, RunSrc)> = None;
-        for (s, run) in ts.runs.iter().enumerate() {
-            if let Some(e) = run.front() {
-                if best.map_or(true, |(bt, bs, _)| (e.at, e.seq) < (bt, bs)) {
-                    best = Some((e.at, e.seq, RunSrc::Run(s)));
-                }
-            }
-        }
-        if let Some(e) = ts.overlay.peek() {
-            if best.map_or(true, |(bt, bs, _)| (e.at, e.seq) < (bt, bs)) {
-                best = Some((e.at, e.seq, RunSrc::Overlay));
-            }
-        }
-        best
-    }
-
-    /// Removes the candidate `src` points at, returning its destination
-    /// shard and the entry with a *local* (unpacked) slot.
-    fn take_candidate(&mut self, src: RunSrc) -> (usize, Entry<E>) {
-        let ts = self.threaded.as_mut().expect("threaded drain enabled");
-        match src {
-            RunSrc::Run(s) => (s, ts.runs[s].pop_front().expect("candidate head exists")),
-            RunSrc::Overlay => {
-                let mut e = ts.overlay.pop().expect("candidate head exists");
-                let shard = (e.slot >> SHARD_SHIFT) as usize;
-                ts.overlay_per_shard[shard] -= 1;
-                e.slot &= LOCAL_SLOT_MASK;
-                (shard, e)
-            }
-        }
-    }
-
-    /// The threaded drain's pop: serial canonical consume of the merged
-    /// runs and overlay. Slot generations are retired *here*, not at
-    /// extraction, so cancels issued after a worker extracted the window
-    /// still observe (and invalidate) the pending event.
-    fn pop_threaded(&mut self) -> Option<(Time, E)> {
-        loop {
-            let Some((_, _, src)) = self.threaded_best() else {
-                if !self.threaded_advance() {
-                    return None;
-                }
-                continue;
-            };
-            let (shard, entry) = self.take_candidate(src);
-            let q = &mut self.shards[shard];
-            if q.generations[entry.slot as usize] != entry.generation {
-                // Cancelled after extraction/buffering: rebalance the
-                // stale count its cancel charged to the shard.
-                q.stale = q.stale.saturating_sub(1);
-                continue;
-            }
-            q.retire(entry.slot);
-            self.now = entry.at;
-            self.popped += 1;
-            self.current_shard = Some(shard);
-            self.last_pop[shard] = entry.at;
-            return Some((entry.at, entry.event));
-        }
-    }
-
-    /// The threaded drain's peek: like [`pop_threaded`](Self::pop_threaded)
-    /// but leaves the (live) head in place, reclaiming stale heads on the
-    /// way so the reported time always belongs to a deliverable event.
-    fn peek_threaded(&mut self) -> Option<Time> {
-        loop {
-            let Some((at, _, src)) = self.threaded_best() else {
-                if !self.threaded_advance() {
-                    return None;
-                }
-                continue;
-            };
-            let live = {
-                let ts = self.threaded.as_ref().expect("threaded drain enabled");
-                let (shard, slot, generation) = match src {
-                    RunSrc::Run(s) => {
-                        let e = ts.runs[s].front().expect("candidate head exists");
-                        (s, e.slot, e.generation)
-                    }
-                    RunSrc::Overlay => {
-                        let e = ts.overlay.peek().expect("candidate head exists");
-                        (
-                            (e.slot >> SHARD_SHIFT) as usize,
-                            e.slot & LOCAL_SLOT_MASK,
-                            e.generation,
-                        )
-                    }
-                };
-                self.shards[shard].generations[slot as usize] == generation
-            };
-            if live {
-                return Some(at);
-            }
-            let (shard, _stale_entry) = self.take_candidate(src);
-            let q = &mut self.shards[shard];
-            q.stale = q.stale.saturating_sub(1);
-        }
-    }
-
-    /// Retunes the window width at a barrier under
-    /// [`WindowTuning::Adaptive`]: widen while cross-shard lookahead
-    /// misses stay rare, narrow back toward the conservative base when
-    /// the shards idled through most of the closing window. Deterministic
-    /// — every input is a simulated-time quantity.
-    fn retune_window(&mut self) {
-        let k = self.shards.len() as u64;
-        let ts = self.threaded.as_mut().expect("threaded drain enabled");
-        if ts.tuning != WindowTuning::Adaptive {
-            return;
-        }
-        let events = self.popped - ts.popped_at_barrier;
-        let misses = self.stats.lookahead_misses - ts.misses_at_barrier;
-        let mut slack = 0u64;
-        for &last in &self.last_pop {
-            let busy_until = last.max(self.window_start);
-            slack += self.window_end.saturating_since(busy_until).ticks();
-        }
-        let base = ts.base_width.ticks();
-        let width = ts.width.ticks();
-        let next = if slack * 2 > width * k && width > base {
-            // Shards idled through most of the window: narrow back.
-            (width / 2).max(base)
-        } else if events > 0 && misses * 16 <= events {
-            // Cross-shard misses are rare: widen to amortize barriers.
-            (width * 2).min(base * MAX_WINDOW_FACTOR)
-        } else {
-            width
-        };
-        ts.width = Duration::from_ticks(next);
-    }
-
-    /// Crosses a threaded-drain window barrier: per-shard slack and
-    /// barrier accounting (mirroring the fused
-    /// [`advance_window`](Self::advance_window) exactly under
-    /// [`WindowTuning::Fixed`]), then the scoped-thread integrate/extract
-    /// phases via the stored driver. Returns `false` when nothing
-    /// deliverable remains anywhere.
-    fn threaded_advance(&mut self) -> bool {
-        let has_pending = self.shards.iter().any(|q| q.pending.len() > 0);
-        let had_inbox = self
-            .threaded
-            .as_ref()
-            .expect("threaded drain enabled")
-            .inbox_len
-            > 0;
-        if !has_pending && !had_inbox {
-            return false;
-        }
-        self.retune_window();
-        let profiling = self.profiling.is_some();
-        let scope_begin = profiling.then(std::time::Instant::now);
-        let (next_start, worker_nanos) = {
-            let ts = self.threaded.as_mut().expect("threaded drain enabled");
-            let ThreadedState {
-                inboxes,
-                runs,
-                threads,
-                width,
-                drive,
-                ..
-            } = &mut **ts;
-            drive(BarrierJob {
-                shards: &mut self.shards,
-                inboxes,
-                runs,
-                threads: *threads,
-                width: *width,
-                profiling,
-            })
-        };
-        let scope_end = profiling.then(std::time::Instant::now);
-        let barrier_tick = self.window_end.ticks();
-        // A barrier is *counted* (stats and slack) exactly when the fused
-        // coordinator would have crossed one: a live event at or beyond
-        // the window end (`next_start`), or buffered events to flush. The
-        // remaining case — only cancelled pending entries left — is the
-        // fused settle's silent lazy reclamation, not a barrier.
-        let counted = next_start.is_some() || had_inbox;
-        if counted {
-            self.stats.barriers += 1;
-            for s in 0..self.shards.len() {
-                let busy_until = self.last_pop[s].max(self.window_start);
-                self.stats.barrier_slack_ticks[s] +=
-                    self.window_end.saturating_since(busy_until).ticks();
-            }
-        }
-        {
-            let ts = self.threaded.as_mut().expect("threaded drain enabled");
-            // The workers drained every inbox (live entries into the
-            // shards, cancelled ones dropped).
-            ts.inbox_len = 0;
-            ts.buffered_cancels = 0;
-            ts.popped_at_barrier = self.popped;
-            ts.misses_at_barrier = self.stats.lookahead_misses;
-            match next_start {
-                Some(start) => {
-                    self.window_start = start;
-                    self.window_end = start.checked_add(ts.width).unwrap_or(Time::MAX);
-                }
-                None if counted => {
-                    // Everything flushed was cancelled: the window still
-                    // moves forward, exactly like the fused coordinator's.
-                    self.window_start = self.window_end;
-                    self.window_end = self.window_start.checked_add(ts.width).unwrap_or(Time::MAX);
-                }
-                None => {}
-            }
-        }
-        if let (Some(begin), Some(end)) = (scope_begin, scope_end) {
-            let scope_nanos = u64::try_from(end.duration_since(begin).as_nanos()).unwrap_or(0);
-            let idle_gap = self
-                .threaded
-                .as_ref()
-                .expect("threaded drain enabled")
-                .last_scope_end
-                .map(|t| u64::try_from(begin.duration_since(t).as_nanos()).unwrap_or(0))
-                .unwrap_or(0);
-            let p = self.profiling.as_mut().expect("profiling is on");
-            p.profile.merge_nanos += scope_nanos;
-            if p.profile.workers.len() < worker_nanos.len() {
-                p.profile
-                    .workers
-                    .resize(worker_nanos.len(), WorkerLane::default());
-            }
-            for (lane, (busy, wait)) in p.profile.workers.iter_mut().zip(&worker_nanos) {
-                lane.busy_nanos += busy;
-                lane.barrier_wait_nanos += wait;
-                lane.idle_nanos += idle_gap;
-            }
-            self.threaded
-                .as_mut()
-                .expect("threaded drain enabled")
-                .last_scope_end = Some(end);
-            if counted {
-                self.record_barrier_sample(barrier_tick);
-            }
-        }
-        next_start.is_some()
-    }
-
-    /// Worker-thread count of the threaded drain (0 on the fused drain).
-    pub fn drain_threads(&self) -> usize {
-        self.threaded.as_ref().map_or(0, |ts| ts.threads)
-    }
-}
-
-impl<E: Send> ShardedEventQueue<E> {
-    /// Switches the queue to the **thread-per-shard drain**: at every
-    /// window barrier, up to `threads` scoped workers (clamped to the
-    /// shard count) integrate the buffered future-window events into
-    /// their shards, agree on the next window via an in-scope
-    /// rendezvous, and extract the window's events into per-shard sorted
-    /// runs — in parallel. The coordinator then consumes the runs (plus
-    /// an overlay of in-window spawns) serially in global `(time, seq)`
-    /// order, so the delivered event stream is **byte-identical** to the
-    /// fused drain and to the sequential [`EventQueue`] by construction,
-    /// for every `(shards, threads, tuning)` combination.
-    ///
-    /// `threads == 1` runs the identical two-phase barrier inline without
-    /// spawning, which makes the thread count unobservable in every
-    /// deterministic output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events were already delivered — the mode switch is
-    /// allowed only before the first `pop` (already-scheduled events are
-    /// migrated).
-    pub fn enable_threaded_drain(&mut self, threads: usize, tuning: WindowTuning) {
-        assert!(
-            self.popped == 0 && self.now == Time::ZERO && self.outbox.is_empty(),
-            "threaded drain must be enabled before the first pop"
-        );
-        if self.threaded.is_some() {
-            return;
-        }
-        let k = self.shards.len();
-        let mut ts = Box::new(ThreadedState {
-            threads: threads.clamp(1, k),
-            runs: (0..k).map(|_| VecDeque::new()).collect(),
-            overlay: BinaryHeap::new(),
-            overlay_per_shard: vec![0; k],
-            inboxes: (0..k).map(|_| Vec::new()).collect(),
-            inbox_len: 0,
-            buffered_cancels: 0,
-            width: self.window,
-            base_width: self.window,
-            tuning,
-            popped_at_barrier: 0,
-            misses_at_barrier: 0,
-            drive: drive_barrier::<E>,
-            last_scope_end: None,
-        });
-        // Migrate events scheduled before the mode switch: in-window
-        // entries move to the overlay (the first window consumes them
-        // without an extra barrier, exactly like the fused coordinator),
-        // later ones stay shard-resident for the first barrier to extract.
-        for shard in 0..k {
-            let mut run = VecDeque::new();
-            self.shards[shard].extract_window(self.window_end, &mut run);
-            for mut e in run {
-                e.slot |= (shard as u32) << SHARD_SHIFT;
-                ts.overlay_per_shard[shard] += 1;
-                ts.overlay.push(e);
-            }
-        }
-        self.threaded = Some(ts);
-    }
-}
-
-/// The scoped-thread window barrier (see
-/// [`ShardedEventQueue::enable_threaded_drain`]). Phase one: each worker
-/// integrates its shards' inboxes and publishes its earliest live head
-/// into a shared atomic minimum. In-scope rendezvous. Phase two: every
-/// worker derives the same next window `[start, start + width)` from the
-/// atomic and extracts it from its shards into sorted runs.
-///
-/// Monomorphized under `E: Send` (scoped workers take `&mut` shard state
-/// across threads) and stored as a plain fn pointer in
-/// [`ThreadedState::drive`], so the unbounded `pop`/`peek` paths can
-/// invoke it without infecting the whole queue API with the bound.
-fn drive_barrier<E: Send>(job: BarrierJob<'_, E>) -> (Option<Time>, Vec<WorkerScopeNanos>) {
-    struct Unit<'a, E> {
-        q: &'a mut EventQueue<E>,
-        inbox: &'a mut Vec<Inboxed<E>>,
-        run: &'a mut VecDeque<Entry<E>>,
-    }
-    fn integrate_and_head<E>(u: &mut Unit<'_, E>, min_head: &AtomicU64) {
-        u.q.integrate_inbox(u.inbox);
-        if let Some((at, _)) = u.q.peek_key() {
-            min_head.fetch_min(at.ticks(), AtomicOrdering::Relaxed);
-        }
-    }
-    fn window_end(start: u64, width: Duration) -> Time {
-        Time::from_ticks(start)
-            .checked_add(width)
-            .unwrap_or(Time::MAX)
-    }
-    let k = job.shards.len();
-    let workers = job.threads.clamp(1, k);
-    let width = job.width;
-    let profiling = job.profiling;
-    let min_head = AtomicU64::new(u64::MAX);
-    let mut units: Vec<Unit<'_, E>> = job
-        .shards
-        .iter_mut()
-        .zip(job.inboxes.iter_mut())
-        .zip(job.runs.iter_mut())
-        .map(|((q, inbox), run)| Unit { q, inbox, run })
-        .collect();
-    let lanes = if workers == 1 {
-        // Inline fast path: the same two phases, no spawn or rendezvous —
-        // `--shard-threads 1` exercises the full threaded architecture
-        // with zero threading overhead (and zero observable difference).
-        let t0 = profiling.then(std::time::Instant::now);
-        for u in &mut units {
-            integrate_and_head(u, &min_head);
-        }
-        let start = min_head.load(AtomicOrdering::Relaxed);
-        if start != u64::MAX {
-            let end = window_end(start, width);
-            for u in &mut units {
-                u.q.extract_window(end, u.run);
-            }
-        }
-        let busy = t0
-            .map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
-            .unwrap_or(0);
-        vec![(busy, 0u64)]
-    } else {
-        let chunk = k.div_ceil(workers);
-        let spawned = k.div_ceil(chunk);
-        let rendezvous = std::sync::Barrier::new(spawned);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(spawned);
-            for chunk_units in units.chunks_mut(chunk) {
-                let min_head = &min_head;
-                let rendezvous = &rendezvous;
-                handles.push(scope.spawn(move || {
-                    let t0 = profiling.then(std::time::Instant::now);
-                    for u in chunk_units.iter_mut() {
-                        integrate_and_head(u, min_head);
-                    }
-                    let busy_integrate = t0.map(|t| t.elapsed()).unwrap_or_default();
-                    let w0 = profiling.then(std::time::Instant::now);
-                    // The rendezvous both publishes every head into the
-                    // atomic minimum (happens-before) and blocks phase
-                    // two until the minimum is complete.
-                    rendezvous.wait();
-                    let wait = w0.map(|t| t.elapsed()).unwrap_or_default();
-                    let t1 = profiling.then(std::time::Instant::now);
-                    let start = min_head.load(AtomicOrdering::Relaxed);
-                    if start != u64::MAX {
-                        let end = window_end(start, width);
-                        for u in chunk_units.iter_mut() {
-                            u.q.extract_window(end, u.run);
-                        }
-                    }
-                    let busy = busy_integrate + t1.map(|t| t.elapsed()).unwrap_or_default();
-                    (
-                        u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX),
-                        u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX),
-                    )
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("barrier worker panicked"))
-                .collect()
-        })
-    };
-    let start = min_head.load(AtomicOrdering::Relaxed);
-    ((start != u64::MAX).then(|| Time::from_ticks(start)), lanes)
 }
 
 impl<E> fmt::Debug for ShardedEventQueue<E> {
@@ -2010,248 +1328,17 @@ mod tests {
         }
     }
 
-    /// Drives an adversarial schedule/cancel/pop workload through a queue
-    /// built by `make`, returning the delivered stream.
-    fn random_workload<Q: WorkloadQueue>(seed: u64, q: &mut Q) -> Vec<(Time, u64)> {
-        use crate::rng::SimRng;
-        let mut rng = SimRng::seed(0x7EED_0000 + seed);
-        let mut live: Vec<Q::Id> = Vec::new();
-        let mut payload = 0u64;
-        let mut stream = Vec::new();
-        for _ in 0..2500 {
-            match rng.below(10) {
-                0..=4 => {
-                    let delay = Duration::from_ticks(rng.below(9));
-                    live.push(q.schedule_at(delay, payload));
-                    payload += 1;
-                }
-                5..=6 => {
-                    if !live.is_empty() {
-                        let i = (rng.below(live.len() as u64)) as usize;
-                        let id = live.swap_remove(i);
-                        q.cancel_id(id);
-                    }
-                }
-                _ => stream.extend(q.pop_one()),
-            }
-        }
-        while let Some(e) = q.pop_one() {
-            stream.push(e);
-        }
-        stream
-    }
-
-    /// Uniform driver interface over the sequential and sharded queues so
-    /// the same workload hits both.
-    trait WorkloadQueue {
-        type Id: Copy;
-        fn schedule_at(&mut self, delay: Duration, payload: u64) -> Self::Id;
-        fn cancel_id(&mut self, id: Self::Id) -> bool;
-        fn pop_one(&mut self) -> Option<(Time, u64)>;
-    }
-
-    impl WorkloadQueue for EventQueue<u64> {
-        type Id = EventId;
-        fn schedule_at(&mut self, delay: Duration, payload: u64) -> EventId {
-            self.schedule(self.now() + delay, payload)
-        }
-        fn cancel_id(&mut self, id: EventId) -> bool {
-            self.cancel(id)
-        }
-        fn pop_one(&mut self) -> Option<(Time, u64)> {
-            self.pop()
-        }
-    }
-
-    impl WorkloadQueue for ShardedEventQueue<u64> {
-        type Id = EventId;
-        fn schedule_at(&mut self, delay: Duration, payload: u64) -> EventId {
-            let shard = (payload % self.num_shards() as u64) as usize;
-            self.schedule(shard, self.now() + delay, payload)
-        }
-        fn cancel_id(&mut self, id: EventId) -> bool {
-            self.cancel(id)
-        }
-        fn pop_one(&mut self) -> Option<(Time, u64)> {
-            self.pop()
-        }
-    }
-
-    /// The tentpole property at the queue level: the threaded drain's
-    /// delivered stream is identical to the sequential queue's for every
-    /// `(shards, threads)` pair, under adversarial schedule/cancel/pop
-    /// interleavings.
-    #[test]
-    fn threaded_order_is_identical_to_sequential_across_threads_and_shards() {
-        for &k in &[1usize, 2, 4, 7] {
-            for &t in &[1usize, 2, 4] {
-                for seed in 0..4u64 {
-                    let mut single = EventQueue::new();
-                    let expect = random_workload(seed, &mut single);
-                    let mut sharded = ShardedEventQueue::new(k, Duration::from_ticks(3));
-                    sharded.enable_threaded_drain(t, WindowTuning::Fixed);
-                    let got = random_workload(seed, &mut sharded);
-                    assert_eq!(
-                        expect, got,
-                        "k={k} t={t} seed={seed}: threaded order diverged from sequential"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Under `WindowTuning::Fixed` the threaded drain's barrier placement
-    /// mirrors the fused coordinator's, so the deterministic ShardStats
-    /// (barriers, outboxed, lookahead misses, slack) must match exactly.
-    #[test]
-    fn threaded_stats_match_fused_under_fixed_tuning() {
-        for &k in &[2usize, 4] {
-            for seed in 0..4u64 {
-                let mut fused = ShardedEventQueue::new(k, Duration::from_ticks(3));
-                let expect_stream = random_workload(seed, &mut fused);
-                let mut threaded = ShardedEventQueue::new(k, Duration::from_ticks(3));
-                threaded.enable_threaded_drain(2, WindowTuning::Fixed);
-                let got_stream = random_workload(seed, &mut threaded);
-                assert_eq!(expect_stream, got_stream);
-                let (f, t) = (fused.stats(), threaded.stats());
-                assert_eq!(f.barriers, t.barriers, "k={k} seed={seed}: barriers");
-                assert_eq!(f.outboxed, t.outboxed, "k={k} seed={seed}: outboxed");
-                assert_eq!(
-                    f.lookahead_misses, t.lookahead_misses,
-                    "k={k} seed={seed}: misses"
-                );
-                assert_eq!(
-                    f.barrier_slack_ticks, t.barrier_slack_ticks,
-                    "k={k} seed={seed}: slack"
-                );
-            }
-        }
-    }
-
-    /// The adaptive window retune moves barriers around but can never
-    /// change the delivered stream: the coordinator always consumes the
-    /// global `(time, seq)` minimum, which is window-independent.
-    #[test]
-    fn adaptive_window_tuning_preserves_the_event_stream() {
-        for seed in 0..4u64 {
-            let mut fixed = ShardedEventQueue::new(4, Duration::from_ticks(3));
-            fixed.enable_threaded_drain(2, WindowTuning::Fixed);
-            let expect = random_workload(seed, &mut fixed);
-            let mut adaptive = ShardedEventQueue::new(4, Duration::from_ticks(3));
-            adaptive.enable_threaded_drain(2, WindowTuning::Adaptive);
-            let got = random_workload(seed, &mut adaptive);
-            assert_eq!(
-                expect, got,
-                "seed={seed}: adaptive retune changed the order"
-            );
-            assert!(
-                adaptive.stats().barriers <= fixed.stats().barriers,
-                "seed={seed}: widening windows must not add barriers"
-            );
-        }
-    }
-
     /// Satellite regression: `pending_upper_bound` must count events
-    /// buffered between barriers — the fused outbox AND every threaded
-    /// between-barrier structure (inboxes, extracted runs, overlay).
+    /// parked in the outbox between barriers.
     #[test]
     fn pending_upper_bound_counts_between_barrier_buffers() {
-        // Fused: a parked cross-shard outbox entry is counted.
         let mut fused = ShardedEventQueue::new(2, Duration::from_ticks(2));
         fused.schedule(0, Time::ZERO, 0u32);
         fused.pop();
         fused.schedule(1, Time::from_ticks(50), 1u32); // outboxed
         assert_eq!(fused.pending_upper_bound(), 1, "fused outbox counted");
-
-        // Threaded: inbox-buffered, extracted-run, and overlay events are
-        // all counted.
-        let mut q = ShardedEventQueue::new(2, Duration::from_ticks(4));
-        q.enable_threaded_drain(2, WindowTuning::Fixed);
-        q.schedule(0, Time::ZERO, 0u32); // overlay (in first window)
-        q.schedule(1, Time::from_ticks(1), 1u32); // overlay
-        assert_eq!(q.pending_upper_bound(), 2, "overlay entries counted");
-        q.pop();
-        q.schedule(0, Time::from_ticks(20), 2u32); // inbox (future window)
-        q.schedule(1, Time::from_ticks(21), 3u32); // inbox
-        assert_eq!(
-            q.pending_upper_bound(),
-            3,
-            "inbox entries counted between barriers"
-        );
-        q.pop(); // drains overlay; next pop crosses a barrier
-        q.pop(); // t=20: barrier extracted both inbox events into runs
-        assert_eq!(
-            q.pending_upper_bound(),
-            1,
-            "run-resident events counted after the barrier"
-        );
-        assert_eq!(q.pop().map(|(_, e)| e), Some(3));
-        assert_eq!(q.pending_upper_bound(), 0);
-        assert!(q.pop().is_none());
-    }
-
-    /// The threaded analogue of the outbox-churn regression: cancelled
-    /// inbox entries must not accumulate between barriers.
-    #[test]
-    fn threaded_memory_stays_bounded_across_a_million_buffered_cycles() {
-        let mut q = ShardedEventQueue::new(4, Duration::from_ticks(4));
-        q.enable_threaded_drain(2, WindowTuning::Fixed);
-        for i in 0..4u64 {
-            q.schedule(0, Time::from_ticks(i), i);
-        }
-        q.pop(); // current shard = 0
-        for i in 0..1_000_000u64 {
-            let id = q.schedule(1 + (i % 3) as usize, Time::from_ticks((1 << 30) + i), i);
-            assert!(q.cancel(id));
-            assert!(
-                q.pending_upper_bound() <= COMPACT_MIN + 8,
-                "pending grew to {} entries after {} cycles",
-                q.pending_upper_bound(),
-                i + 1
-            );
-        }
-        for s in &q.shards {
-            assert!(
-                s.generations.len() <= COMPACT_MIN.max(8),
-                "slot table grew to {} entries",
-                s.generations.len()
-            );
-        }
-        let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(rest, vec![1, 2, 3]);
-        assert!(q.is_empty());
-    }
-
-    /// Worker-lane profiling is opt-in, threaded-only, and does not
-    /// perturb the delivered order or deterministic stats.
-    #[test]
-    fn threaded_profiling_reports_worker_lanes_without_perturbing_order() {
-        let run = |profile: bool| {
-            let mut q = ShardedEventQueue::new(4, Duration::from_ticks(2));
-            q.enable_threaded_drain(2, WindowTuning::Fixed);
-            if profile {
-                q.enable_profiling();
-            }
-            for i in 0..64u64 {
-                q.schedule((i % 4) as usize, Time::from_ticks(i / 2), i);
-            }
-            let mut order = Vec::new();
-            while let Some((at, e)) = q.pop() {
-                order.push((at.ticks(), e));
-            }
-            (order, q.profile(), q.stats())
-        };
-        let (plain_order, plain_profile, plain_stats) = run(false);
-        let (prof_order, prof_profile, prof_stats) = run(true);
-        assert!(plain_profile.is_none());
-        assert_eq!(plain_order, prof_order);
-        assert_eq!(plain_stats.barriers, prof_stats.barriers);
-        let profile = prof_profile.expect("profiling was enabled");
-        assert_eq!(
-            profile.workers.len(),
-            2,
-            "one lane per barrier worker thread"
-        );
+        assert_eq!(fused.pop().map(|(_, e)| e), Some(1));
+        assert_eq!(fused.pending_upper_bound(), 0);
     }
 
     #[test]

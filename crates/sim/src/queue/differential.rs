@@ -87,18 +87,15 @@ fn check_against_reference(seed: u64, ops: usize) {
     assert_eq!(rest, expect, "seed {seed}: drain");
 }
 
-/// Runs `ops` random steps through a `k`-shard queue (fused, or threaded
-/// with inline barriers) and the sequential queue. Peeks make the
+/// Runs `ops` random steps through a `k`-shard queue and the sequential
+/// queue. Peeks make the
 /// coordinator peek every shard, moving each shard's ring base to its
 /// earliest entry, so later cross-shard pushes land below those bases.
-fn check_sharded_against_sequential(seed: u64, k: usize, threaded: bool, ops: usize) {
+fn check_sharded_against_sequential(seed: u64, k: usize, ops: usize) {
     let mut rng = SimRng::seed(seed);
     let window = Duration::from_ticks(1 + rng.below(2 * RING));
     let mut single = EventQueue::new();
     let mut sharded = ShardedEventQueue::new(k, window);
-    if threaded {
-        sharded.enable_threaded_drain(1, WindowTuning::Fixed);
-    }
     let mut ids: Vec<(EventId, EventId)> = Vec::new();
     for step in 0..ops {
         match rng.below(10) {
@@ -131,7 +128,7 @@ fn check_sharded_against_sequential(seed: u64, k: usize, threaded: bool, ops: us
     }
     let rest: Vec<_> = std::iter::from_fn(|| single.pop()).collect();
     let got: Vec<_> = std::iter::from_fn(|| sharded.pop()).collect();
-    assert_eq!(rest, got, "seed {seed} k={k} threaded={threaded}: drain");
+    assert_eq!(rest, got, "seed {seed} k={k}: drain");
 }
 
 proptest! {
@@ -148,8 +145,7 @@ proptest! {
     /// land below a peeked shard's ring base.
     #[test]
     fn sharded_queue_matches_sequential_with_peeks(seed in 0u64..u64::MAX, k in 2usize..6) {
-        check_sharded_against_sequential(seed, k, false, 2000);
-        check_sharded_against_sequential(seed, k, true, 2000);
+        check_sharded_against_sequential(seed, k, 2000);
     }
 }
 

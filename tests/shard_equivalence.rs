@@ -7,10 +7,9 @@
 //! golden digests, trace replay, and `amac-check` fixtures all assume the
 //! execution order is a function of the seed alone, never of `K`.
 //!
-//! The same obligation extends to the thread-per-shard drain: with `T`
-//! scoped workers servicing the `K` shards' windows, every capture below
-//! must still be byte-identical — the (K, T) grid is exercised alongside
-//! the fused shard counts in every property and fixed case.
+//! When two recordings differ, the failure names the first divergent
+//! record (its index and both sides), `K` and the seed, not two byte
+//! vectors.
 
 use amac::core::{Assignment, Bmmb, Delivered};
 use amac::graph::{generators, DualGraph, GraphBuilder, NodeId};
@@ -19,7 +18,7 @@ use amac::mac::{
     FaultPlan, MacConfig, OnlineStats, OnlineValidator, RunOutcome, Runtime, ValidationReport,
 };
 use amac::sim::{SimRng, Time};
-use amac::store::StoreObserver;
+use amac::store::{StoreError, StoreObserver, StoredRecord, TraceReader};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -33,9 +32,8 @@ struct Capture {
 }
 
 /// Runs BMMB over `dual` with `shards` event-queue shards (0 = the
-/// sequential runtime) drained on `threads` scoped workers (0 = the fused
-/// drain), recording to `path`, and captures every observable artifact.
-#[allow(clippy::too_many_arguments)]
+/// sequential runtime), recording to `path`, and captures every
+/// observable artifact.
 fn capture(
     dual: &DualGraph,
     cfg: MacConfig,
@@ -43,16 +41,12 @@ fn capture(
     faults: &FaultPlan,
     policy_seed: u64,
     shards: usize,
-    threads: usize,
     path: &Path,
 ) -> Capture {
     let nodes = (0..dual.len()).map(|_| Bmmb::new()).collect();
     let mut rt = Runtime::new(dual.clone(), cfg, nodes, RandomPolicy::new(policy_seed));
     if shards > 0 {
         rt = rt.with_shards(shards);
-        if threads > 0 {
-            rt = rt.with_shard_threads(threads);
-        }
     }
     let mut rt = rt.with_faults(faults.clone());
     let validator = rt.attach(OnlineValidator::new(dual.clone(), cfg));
@@ -86,30 +80,57 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// The `(shards, threads)` grid every equivalence case runs: the fused
-/// drain over the historical shard counts (including `K` = 7, which never
-/// divides the test sizes evenly), then the threaded drain over the
-/// T ∈ {1, 2, 4} x K ∈ {1, 2, 4} grid plus an uneven threaded case.
-const GRID: &[(usize, usize)] = &[
-    (1, 0),
-    (2, 0),
-    (4, 0),
-    (7, 0),
-    (1, 1),
-    (1, 2),
-    (1, 4),
-    (2, 1),
-    (2, 2),
-    (2, 4),
-    (4, 1),
-    (4, 2),
-    (4, 4),
-    (7, 3),
-];
+/// The shard counts every equivalence case runs, including `K` = 7,
+/// which never divides the test sizes evenly.
+const SHARD_COUNTS: &[usize] = &[1, 2, 4, 7];
 
-/// Asserts sequential vs sharded/threaded equivalence for every `(K, T)`
-/// grid point, comparing trace bytes, violation sets, and validator
-/// statistics.
+/// Streams the recordings at `seq` and `sharded` side by side and says
+/// where they first differ: the header, the first record that differs
+/// (its index and both sides, `None` where one file ended), or, when
+/// every record matches, the trailers.
+fn first_divergence(seq: &Path, sharded: &Path) -> String {
+    let open =
+        |path: &Path| TraceReader::open(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let (mut a, mut b) = (open(seq), open(sharded));
+    if a.header() != b.header() {
+        return format!(
+            "headers differ: sequential {:?}, sharded {:?}",
+            a.header(),
+            b.header()
+        );
+    }
+    for index in 0u64.. {
+        match (a.next_record(), b.next_record()) {
+            (Ok(None), Ok(None)) => break,
+            (Ok(x), Ok(y)) if x == y => {}
+            (x, y) => {
+                return format!(
+                    "first divergent record #{index}: sequential {}, sharded {}",
+                    describe(x),
+                    describe(y)
+                )
+            }
+        }
+    }
+    format!(
+        "every record matches; trailers: sequential {:?}, sharded {:?}",
+        a.trailer(),
+        b.trailer()
+    )
+}
+
+/// One side of a record comparison: the record, the end of the trace, or
+/// the read error.
+fn describe(read: Result<Option<StoredRecord>, StoreError>) -> String {
+    match read {
+        Ok(Some(record)) => format!("{record:?}"),
+        Ok(None) => "end of trace".to_string(),
+        Err(e) => format!("unreadable ({e})"),
+    }
+}
+
+/// Asserts sequential vs sharded equivalence for every shard count,
+/// comparing trace bytes, violation sets, and validator statistics.
 fn assert_equivalent(
     label: &str,
     dual: &DualGraph,
@@ -120,19 +141,16 @@ fn assert_equivalent(
 ) -> Result<(), TestCaseError> {
     let dir = scratch_dir(label);
     let seq_path = dir.join(format!("s{policy_seed}-seq.amactrace"));
-    let seq = capture(dual, cfg, assignment, faults, policy_seed, 0, 0, &seq_path);
-    for &(k, t) in GRID {
-        let sh_path = dir.join(format!("s{policy_seed}-k{k}t{t}.amactrace"));
-        let sh = capture(dual, cfg, assignment, faults, policy_seed, k, t, &sh_path);
-        prop_assert_eq!(
-            &seq.trace_bytes,
-            &sh.trace_bytes,
-            "trace bytes diverged: {} k={} t={} seed={}",
-            label,
-            k,
-            t,
-            policy_seed
-        );
+    let seq = capture(dual, cfg, assignment, faults, policy_seed, 0, &seq_path);
+    for &k in SHARD_COUNTS {
+        let sh_path = dir.join(format!("s{policy_seed}-k{k}.amactrace"));
+        let sh = capture(dual, cfg, assignment, faults, policy_seed, k, &sh_path);
+        if seq.trace_bytes != sh.trace_bytes {
+            return Err(TestCaseError::fail(format!(
+                "trace bytes diverged: {label} K={k} seed={policy_seed}: {}",
+                first_divergence(&seq_path, &sh_path)
+            )));
+        }
         prop_assert_eq!(&seq.validation, &sh.validation);
         prop_assert_eq!(&seq.stats, &sh.stats);
         prop_assert_eq!(seq.outcome, sh.outcome);
